@@ -107,13 +107,23 @@ let domains =
        & info [ "domains"; "d" ]
            ~doc:"OCaml domains for the sweeper's bulk resimulation passes.")
 
+(* Solver-pool sizes: a pool needs at least one member. *)
+let pool_size =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some d when d >= 1 -> Ok d
+        | _ -> Error (Printf.sprintf "expected an integer >= 1, got '%s'" s)),
+      Format.pp_print_int )
+
 let sat_domains =
-  Arg.(value & opt int 0
+  Arg.(value & opt pool_size 1
        & info [ "sat-domains" ] ~docv:"N"
            ~doc:
-             "Default solver-domain count for every sweep pass's parallel \
-              SAT dispatch (0 = inline); a per-pass --sat-domains inside \
-              -c overrides it.")
+             "Default solver-pool size for every sweep pass (the default 1 \
+              spawns no domain); a per-pass --sat-domains inside -c \
+              overrides it. Without a timeout or conflict limit the \
+              swept network is the same for every value.")
 
 let timeout =
   Arg.(

@@ -89,7 +89,7 @@ let run circuit file engine timeout retries sat_domains self_verify verify
         (" --retry-schedule "
         ^ String.concat "," (List.map string_of_int limits))
     | None -> ());
-    if sat_domains > 0 then
+    if sat_domains <> 1 then
       Buffer.add_string b (Printf.sprintf " --sat-domains %d" sat_domains);
     if verify then Buffer.add_string b "; verify";
     Buffer.contents b
@@ -163,15 +163,25 @@ let retries =
           "Escalating conflict limits re-tried on SAT queries that come \
            back undetermined.")
 
+(* Solver-pool sizes: a pool needs at least one member. *)
+let pool_size =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some d when d >= 1 -> Ok d
+        | _ -> Error (Printf.sprintf "expected an integer >= 1, got '%s'" s)),
+      Format.pp_print_int )
+
 let sat_domains =
   Arg.(
-    value & opt int 0
+    value & opt pool_size 1
     & info [ "sat-domains" ] ~docv:"N"
         ~doc:
-          "Dispatch SAT queries to a pool of $(docv) solver domains (each \
+          "Run the SAT queries on a pool of $(docv) solver domains (each \
            with its own incremental solver and, under --certify, its own \
-           DRUP checker). 0 (default) keeps the inline sequential path; \
-           the result is CEC-equivalent for every value.")
+           DRUP checker). The default 1 spawns no domain. Without a \
+           timeout or conflict limit the swept network is the same for \
+           every value.")
 
 let self_verify =
   Arg.(

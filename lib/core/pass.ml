@@ -31,7 +31,7 @@ type ctx = {
   echo : string -> unit;
 }
 
-let create_ctx ?seed ?(sim_domains = 1) ?(sat_domains = 0) ?timeout ?budget
+let create_ctx ?seed ?(sim_domains = 1) ?(sat_domains = 1) ?timeout ?budget
     ?(verify = false) ?(certify = false) ?cache ?(cache_paranoid = false)
     ?(echo = print_string) input =
   let budget =
@@ -124,7 +124,16 @@ let sweep_make args =
     Option.map (int_arg "conflict-limit") (List.assoc_opt "conflict-limit" args)
   in
   let sat_domains_arg =
-    Option.map (int_arg "sat-domains") (List.assoc_opt "sat-domains" args)
+    Option.map
+      (fun v ->
+        let d = int_arg "sat-domains" v in
+        if d < 1 then
+          raise
+            (Bad_arg
+               ( "sat-domains",
+                 Printf.sprintf "sat-domains must be at least 1, got %d" d ));
+        d)
+      (List.assoc_opt "sat-domains" args)
   in
   fun ctx net ->
     (* The whole pipeline budget is handed to the sweep: it honors the
@@ -262,7 +271,7 @@ let () =
             {
               keys = [ "--sat-domains" ];
               arity = Value;
-              flag_doc = "solver domains for parallel SAT dispatch (0 = inline)";
+              flag_doc = "solver domains the SAT queries run on (default 1)";
             };
           ];
         transform = true;

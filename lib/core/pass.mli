@@ -25,9 +25,8 @@ type ctx = {
           CLI behaviour); [Some s] overrides every pass. *)
   sim_domains : int;
   sat_domains : int;
-      (** default solver-domain count for every sweep pass's parallel
-          SAT dispatch ([0] = inline sequential queries); a per-pass
-          [--sat-domains] flag overrides it *)
+      (** default solver-pool size for every sweep pass (default [1],
+          at least [1]); a per-pass [--sat-domains] flag overrides it *)
   budget : Obs.Budget.t;  (** one budget for the whole pipeline *)
   verify : bool;  (** self-verify policy for sweeps ({!Sweep.Selfcheck}) *)
   certify : bool;  (** DRUP-certified solver answers, pipeline-wide *)

@@ -51,6 +51,17 @@ type result = {
   r_counts : counts;
 }
 
+(* Scratch for single-pattern cone evaluation ({!ce_distinguishes}) —
+   epoch-stamped memo so repeated cone walks under different
+   assignments reuse the arrays without clearing them. *)
+type scratch = {
+  mutable eval_val : int array;
+  mutable eval_stamp : int array;
+  mutable eval_epoch : int;
+}
+
+let scratch () = { eval_val = [||]; eval_stamp = [||]; eval_epoch = 0 }
+
 type domain_ctx = {
   solver : Sat.Solver.t;
   env : Sat.Tseitin.env;
@@ -60,12 +71,7 @@ type domain_ctx = {
      propagation caps hold across the whole pool. *)
   mutable charged_conflicts : int;
   mutable charged_propagations : int;
-  (* Per-domain scratch for single-pattern cone evaluation (the CE
-     filter below) — epoch-stamped memo so repeated cone walks under
-     the same assignment stay linear. *)
-  mutable eval_val : int array;
-  mutable eval_stamp : int array;
-  mutable eval_epoch : int;
+  eval : scratch;  (* this domain's CE-filter scratch *)
 }
 
 type t = {
@@ -82,8 +88,10 @@ let create ~domains ~certify ~conflict_limit ~retry_schedule net budget =
   let ctxs =
     Array.init domains (fun _ ->
         let solver = Sat.Solver.create () in
-        (* Same learnt-DB sizing policy as the engine's inline solver:
-           proportional to the largest per-query conflict budget. *)
+        (* Thousands of small queries share this solver: size its
+           learnt-DB ceiling to the largest per-query conflict budget
+           (the last retry rung) rather than a whole-run default, so
+           LBD reduction keeps the database proportional to a query. *)
         (match conflict_limit with
         | Some base ->
           let top = List.fold_left max base retry_schedule in
@@ -105,9 +113,7 @@ let create ~domains ~certify ~conflict_limit ~retry_schedule net budget =
           cert;
           charged_conflicts = 0;
           charged_propagations = 0;
-          eval_val = [||];
-          eval_stamp = [||];
-          eval_epoch = 0;
+          eval = scratch ();
         })
   in
   {
@@ -140,24 +146,23 @@ let charge_budget t dc =
    stand-in for the engine's mid-walk signature refinement: the
    signatures are frozen for the whole wave, so without it every node
    of a fat stale class would SAT-query every stale candidate and
-   collect a counterexample per query — a quadratic blowup the
-   sequential path never sees (its classes refine every resim batch).
-   One cone walk per counterexample keeps the walk linear instead. *)
-let ce_distinguishes t dc ce nd r compl =
-  let n = A.num_nodes t.net in
-  if Array.length dc.eval_stamp < n then begin
-    let cap = max n (2 * Array.length dc.eval_stamp) in
-    dc.eval_val <- Array.make cap 0;
-    dc.eval_stamp <- Array.make cap 0;
-    dc.eval_epoch <- 0
+   collect a counterexample per query — a quadratic blowup. One cone
+   walk per counterexample keeps the walk linear instead. *)
+let ce_distinguishes sc net ce nd r compl =
+  let n = A.num_nodes net in
+  if Array.length sc.eval_stamp < n then begin
+    let cap = max n (2 * Array.length sc.eval_stamp) in
+    sc.eval_val <- Array.make cap 0;
+    sc.eval_stamp <- Array.make cap 0;
+    sc.eval_epoch <- 0
   end;
-  dc.eval_epoch <- dc.eval_epoch + 1;
-  let epoch = dc.eval_epoch in
+  sc.eval_epoch <- sc.eval_epoch + 1;
+  let epoch = sc.eval_epoch in
   let rec eval_node nd =
-    if dc.eval_stamp.(nd) = epoch then dc.eval_val.(nd)
+    if sc.eval_stamp.(nd) = epoch then sc.eval_val.(nd)
     else begin
       let v =
-        match A.kind t.net nd with
+        match A.kind net nd with
         | A.Const -> 0
         | A.Pi i -> if i < Array.length ce && ce.(i) then 1 else 0
         | A.And ->
@@ -165,10 +170,10 @@ let ce_distinguishes t dc ce nd r compl =
             let v = eval_node (L.node f) in
             if L.is_compl f then 1 - v else v
           in
-          side (A.fanin0 t.net nd) land side (A.fanin1 t.net nd)
+          side (A.fanin0 net nd) land side (A.fanin1 net nd)
       in
-      dc.eval_stamp.(nd) <- epoch;
-      dc.eval_val.(nd) <- v;
+      sc.eval_stamp.(nd) <- epoch;
+      sc.eval_val.(nd) <- v;
       v
     end
   in
@@ -179,9 +184,9 @@ let ce_distinguishes t dc ce nd r compl =
   in
   a <> b
 
-(* Walk one task's candidate list on one domain: the same verdict logic
-   as the engine's inline [try_merge], minus window checks (resolved at
-   collect time) and stats/map writes (applied at merge time). *)
+(* Walk one task's candidate list on one domain: window checks were
+   resolved at collect time, stats and map writes wait for the merge
+   phase. *)
 let solve_task t dc task res =
   let deadline = Obs.Budget.deadline t.budget in
   let rec walk = function
@@ -198,7 +203,7 @@ let solve_task t dc task res =
            merges are unaffected. *)
         List.exists
           (fun (ce, _, _) ->
-            ce_distinguishes t dc ce task.t_node c.c_rep c.c_compl)
+            ce_distinguishes dc.eval t.net ce task.t_node c.c_rep c.c_compl)
           res.r_ces
       then walk rest
       else begin
@@ -218,7 +223,7 @@ let solve_task t dc task res =
             res.r_outcome <- Merged (L.of_node c.c_rep c.c_compl, false)
           | Sat.Tseitin.Uncertified _ ->
             (* Degrade, never trust: the node keeps its structural
-               translation, same as the inline engine. *)
+               translation. *)
             res.r_counts.n_cert_rejected <- res.r_counts.n_cert_rejected + 1;
             res.r_outcome <- Exhausted
           | Sat.Tseitin.Counterexample ce ->

@@ -63,6 +63,20 @@ type result = {
   r_counts : counts;
 }
 
+type scratch
+(** Reusable arrays for {!ce_distinguishes}; one per domain. *)
+
+val scratch : unit -> scratch
+
+val ce_distinguishes :
+  scratch -> Aig.Network.t -> bool array -> int -> int -> bool -> bool
+(** [ce_distinguishes sc net ce nd r compl] evaluates the cones of [nd]
+    and [r] under the PI assignment [ce] and reports whether [nd]
+    differs from [r] (complemented when [compl]). Linear in the two
+    cones. The workers use it to skip candidates an earlier
+    counterexample of the same walk already refutes; the engine uses it
+    to validate counterexamples before they refine the classes. *)
+
 type t
 
 val create :

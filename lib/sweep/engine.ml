@@ -42,7 +42,6 @@ type config = {
   sim_domains : int;
   par_threshold : int;
   sat_domains : int;
-  sat_wave : int;
   deadline : float option;
   budget : Obs.Budget.t option;
   (* An externally owned budget (a pipeline's, or an Obs.Pool lease's)
@@ -70,8 +69,7 @@ let fraig_config =
     window_max_leaves = 16;
     sim_domains = 1;
     par_threshold = 2048;
-    sat_domains = 0;
-    sat_wave = 128;
+    sat_domains = 1;
     deadline = None;
     budget = None;
     verify = false;
@@ -121,22 +119,10 @@ type state = {
      compares by lifting both tables onto the joint support. *)
   classes : Equiv_classes.t;
   mutable pending_ce : int;
-  env : Sat.Tseitin.env;
-  solver : Sat.Solver.t;
   budget : Obs.Budget.t;
-  (* Snapshot of the inline solver's cumulative counters at the last
-     budget charge — the next charge sends only the delta, so a budget
-     shared across passes (or leased from an [Obs.Pool]) accumulates
-     true totals. *)
-  mutable charged_conflicts : int;
-  mutable charged_propagations : int;
-  cert : Sat.Drup.t option;
-  (* Certified-mode counterexample validation: memoized single-pattern
-     evaluation of the fresh network, epoch-stamped so repeated
-     validations reuse the scratch arrays without clearing them. *)
-  mutable eval_val : int array;
-  mutable eval_stamp : int array;
-  mutable eval_epoch : int;
+  eval : Dispatch.scratch;
+  (* counterexample validation on this domain: certified-mode solver
+     models and cached counterexamples *)
 }
 
 (* First exhaustion wins: record the reason and the phase where it was
@@ -156,22 +142,6 @@ let budget_ok st phase =
   | Some reason ->
     note_exhausted st reason phase;
     false
-
-(* Charge the inline solver's conflict/propagation work since the last
-   charge to the shared budget as a delta. This is what makes conflict
-   and propagation caps (an [Obs.Pool] lease's slice) bite mid-sweep:
-   the charge trips the sticky flag, and every later [budget_ok] check
-   degrades the walk. Granularity is one SAT query, so a sweep can
-   overshoot a cap by at most one query's conflict limit. *)
-let charge_solver st phase =
-  let s = Sat.Solver.stats st.solver in
-  let dc = s.Sat.Solver.conflicts - st.charged_conflicts in
-  let dp = s.Sat.Solver.propagations - st.charged_propagations in
-  st.charged_conflicts <- s.Sat.Solver.conflicts;
-  st.charged_propagations <- s.Sat.Solver.propagations;
-  match Obs.Budget.charge ~conflicts:dc ~propagations:dp st.budget with
-  | Some reason -> note_exhausted st reason phase
-  | None -> ()
 
 (* Phase accounting. Wall clock ([Obs.Clock]), never [Sys.time]: CPU
    time sums across domains, so it would bill a parallel resimulation at
@@ -384,53 +354,19 @@ let note_counterexample st ce =
     if st.pending_ce >= st.cfg.resim_batch then resimulate st
   end
 
-(* Certified-mode model validation at the network level: evaluate both
-   cones under the counterexample and demand they actually differ. The
+(* Network-level counterexample validation: evaluate both cones under
+   the pattern and demand they actually differ. In certified mode the
    Tseitin layer has already checked the solver's model against the
    checker's clause database; this closes the remaining gap (encoding
    bugs, PI extraction bugs) by re-deriving the disagreement from the
    AIG itself. *)
 let ce_distinguishes st ce nd r compl =
-  let n = A.num_nodes st.fresh in
-  if Array.length st.eval_stamp < n then begin
-    let cap = max n (2 * Array.length st.eval_stamp) in
-    st.eval_val <- Array.make cap 0;
-    st.eval_stamp <- Array.make cap 0;
-    st.eval_epoch <- 0
-  end;
-  st.eval_epoch <- st.eval_epoch + 1;
-  let epoch = st.eval_epoch in
-  let rec eval_node nd =
-    if st.eval_stamp.(nd) = epoch then st.eval_val.(nd)
-    else begin
-      let v =
-        match A.kind st.fresh nd with
-        | A.Const -> 0
-        | A.Pi i -> if i < Array.length ce && ce.(i) then 1 else 0
-        | A.And ->
-          let side f =
-            let v = eval_node (L.node f) in
-            if L.is_compl f then 1 - v else v
-          in
-          side (A.fanin0 st.fresh nd) land side (A.fanin1 st.fresh nd)
-      in
-      st.eval_stamp.(nd) <- epoch;
-      st.eval_val.(nd) <- v;
-      v
-    end
-  in
-  let a = eval_node nd in
-  let b =
-    let v = eval_node r in
-    if compl then 1 - v else v
-  in
-  a <> b
+  Dispatch.ce_distinguishes st.eval st.fresh ce nd r compl
 
 (* Exhaustive-window comparison from the cached tables: lift both onto
    the joint support and compare columns. Exact — equal tables prove
    equivalence, different tables refute it — so no SAT call happens
-   either way. Shared by the inline walk and the dispatcher's collect
-   phase. *)
+   either way. *)
 let window_verdict st nd r =
   if not st.cfg.window_refine then `Unknown
   else if Obs.Fault.fires fault_fail_window then
@@ -461,17 +397,18 @@ let window_verdict st nd r =
 
 (* ---- cross-run cache path ----
 
-   With [config.cache] armed, the solver work of the inline walk runs
-   through {!Cone_cert}: the pair's joint TFI is extracted into a
-   canonical standalone network, its key looked up, and on a miss the
-   pair is proven on a throwaway solver whose recorded refutation is
-   self-contained — exactly what can be stored and replayed by another
-   run. Nothing from disk is trusted: an equivalence entry is served
-   only after its certificate replays (paranoid or certified mode;
-   otherwise the store's checksum gates it), a counterexample entry
-   only after it actually distinguishes the two cones on the AIG.
-   Undetermined outcomes are never stored, so a warm cache replays the
-   cold run's verdict sequence exactly. *)
+   With [config.cache] armed, the collect walk settles every candidate
+   the window leaves open on the calling domain, through {!Cone_cert}:
+   the pair's joint TFI is extracted into a canonical standalone
+   network, its key looked up, and on a miss the pair is proven on a
+   throwaway solver whose recorded refutation is self-contained —
+   exactly what can be stored and replayed by another run. Nothing from
+   disk is trusted: an equivalence entry is served only after its
+   certificate replays (paranoid or certified mode; otherwise the
+   store's checksum gates it), a counterexample entry only after it
+   actually distinguishes the two cones on the AIG. Undetermined
+   outcomes are never stored, so a warm cache replays the cold run's
+   verdict sequence exactly. *)
 
 let cache_conflict_limits cfg =
   match cfg.conflict_limit with
@@ -507,7 +444,7 @@ let fold_cone_stats st (cs : Cone_cert.stats) =
   st.stats.Stats.sat_learned <-
     st.stats.Stats.sat_learned + s.Sat.Solver.learned;
   (* Each retried call was an undetermined outcome, mirroring the
-     inline path's per-call counting. *)
+     pool's per-call counting. *)
   st.stats.Stats.sat_undet <-
     st.stats.Stats.sat_undet + cs.Cone_cert.s_retries;
   st.stats.Stats.sat_retries <-
@@ -518,7 +455,7 @@ let fold_cone_stats st (cs : Cone_cert.stats) =
    paranoid mode replays by policy; otherwise the checksum the store
    already verified is the line of defense and the proof is trusted. *)
 let cache_accept_equiv st pc proof =
-  if st.cfg.cache_paranoid || st.cert <> None then (
+  if st.cfg.cache_paranoid || st.cfg.certify then (
     match timed st `Sat (fun () -> Cone_cert.replay pc proof) with
     | Ok () -> true
     | Error why ->
@@ -539,19 +476,19 @@ let cache_attempt st ops nd r compl =
           Cone_cert.solve
             ~conflict_limits:(cache_conflict_limits st.cfg)
             ?deadline:(Obs.Budget.deadline st.budget)
-            ~certify:(st.cert <> None) pc)
+            ~certify:st.cfg.certify pc)
     in
     fold_cone_stats st cs;
     match outcome with
     | Cone_cert.O_equiv proof ->
       st.stats.Stats.sat_unsat <- st.stats.Stats.sat_unsat + 1;
-      if st.cert <> None then
+      if st.cfg.certify then
         st.stats.Stats.certified_unsat <- st.stats.Stats.certified_unsat + 1;
       ops.cache_store ~key (Cone_cert.entry_to_json (Cone_cert.E_equiv proof));
       `Merge (L.of_node r compl)
     | Cone_cert.O_diff small ->
       let ce = expand_ce st pc small in
-      if st.cert <> None && not (ce_distinguishes st ce nd r compl) then begin
+      if st.cfg.certify && not (ce_distinguishes st ce nd r compl) then begin
         st.stats.Stats.certificate_rejected <-
           st.stats.Stats.certificate_rejected + 1;
         Obs.Trace.emitf
@@ -562,7 +499,7 @@ let cache_attempt st ops nd r compl =
       end
       else begin
         st.stats.Stats.sat_sat <- st.stats.Stats.sat_sat + 1;
-        if st.cert <> None then
+        if st.cfg.certify then
           st.stats.Stats.certified_models <- st.stats.Stats.certified_models + 1;
         ops.cache_store ~key (Cone_cert.entry_to_json (Cone_cert.E_diff small));
         note_counterexample st ce;
@@ -613,220 +550,74 @@ let cache_attempt st ops nd r compl =
         else reject ()
       end)
 
-(* Dispatch-mode cache use is lookup-only, and only for equivalence
-   entries heading a candidate walk: a hit there merges on the spot
-   exactly like a window-proved equality, anything else falls through
-   to the solver pool unchanged. Serving mid-walk hits would reorder
-   the walk relative to the inline path, and standalone store-backs
-   from worker domains would race the single-writer discipline — the
-   inline path is the cache's writer. Misses are deliberately not
-   counted here (every Unknown candidate would "miss"); rejections
-   are, because a rejection means an entry existed and was refused. *)
-let cache_lookup_equiv st ops nd r compl =
-  let pc =
-    timed st `Sat (fun () ->
-        Cone_cert.extract st.fresh (L.of_node nd false) (L.of_node r compl))
-  in
-  match ops.cache_find ~key:pc.Cone_cert.pc_key with
-  | Cache_miss -> None
-  | Cache_corrupt ->
-    st.stats.Stats.cache_rejected <- st.stats.Stats.cache_rejected + 1;
-    None
-  | Cache_hit body -> (
-    match Cone_cert.entry_of_json body with
-    | Ok (Cone_cert.E_equiv proof) ->
-      if cache_accept_equiv st pc proof then begin
-        st.stats.Stats.cache_hits <- st.stats.Stats.cache_hits + 1;
-        Some (L.of_node r compl)
-      end
-      else begin
-        st.stats.Stats.cache_rejected <- st.stats.Stats.cache_rejected + 1;
-        None
-      end
-    | Ok (Cone_cert.E_diff _) -> None
-    | Error _ ->
-      st.stats.Stats.cache_rejected <- st.stats.Stats.cache_rejected + 1;
-      None)
+(* ---- the sweep loop ----
 
-(* Try to merge fresh node [nd] onto an earlier node. Returns the literal
-   [nd] proved equal to, if any. *)
-let try_merge st nd =
+   One input-to-output pass over the old AND nodes, in waves. Collect:
+   translate old nodes on the calling domain, resolving structural
+   hits, window verdicts and (with the cache armed) cache verdicts on
+   the spot; a node whose walk still needs the solver becomes a task
+   carrying its pre-filtered candidate list. Solve: the network frozen,
+   the solver pool drains the tasks ({!Dispatch.run_wave}), each member
+   loading cone CNFs into its own incremental solver. Cube: tasks whose
+   retry schedule ran dry are split over all assignments of a few cone
+   PIs and re-attacked across the pool. Merge: the calling domain — the
+   single writer — applies results in task order: proven merges into
+   the map, validated counterexamples into the pattern set (batched
+   into shared resimulations), counters into stats.
+
+   A wave ends before the first old node with a fanin whose task still
+   awaits its verdict. Every node is therefore translated through its
+   fanins' final literals, and its walk settles on the lowest-numbered
+   earlier node it is provably equal to (classes list members in node
+   order and never split an equivalent pair). So while every query gets
+   an answer (no conflict limit, no budget cut) and no walk reaches
+   [max_compares], the result depends neither on the domain count nor
+   on how the counterexamples refined the classes on the way. *)
+
+type collected = C_none | C_merge of L.t | C_task of Dispatch.cand list
+
+(* Walk [nd]'s candidate class on the calling domain. Window-proved
+   equalities merge on the spot when nothing precedes them and close
+   the task's walk otherwise (nothing beyond them is reachable). Every
+   examined representative — window split, deferred query, cached
+   verdict — charges [max_compares], so a class dominated by window
+   splits still ends its walk. With the cache armed, each candidate the
+   window leaves open is settled here through [cache_attempt], so
+   cold and warm runs follow one verdict sequence; a cached
+   counterexample can resimulate mid-walk, hence the signatures are
+   re-read per candidate. *)
+let collect st nd =
   let reps =
     List.filter
       (fun r -> r < nd)
       (Equiv_classes.candidates st.classes st.sigs.(nd))
   in
-  let rec attempt tried = function
-    | [] -> None
-    | _ when tried >= st.cfg.max_compares -> None
-    | _ when not (budget_ok st "sat") ->
-      (* Mid-node exhaustion: abandon the remaining candidates. The node
-         keeps its structural translation — never a partial merge. *)
-      None
-    | r :: rest -> (
-      (* Re-read on every attempt: a counter-example resimulation inside
-         this loop refreshes all signatures. *)
-      let sig_n = st.sigs.(nd) in
-      let np = st.sim_np in
-      let compl = not (Sg.equal sig_n st.sigs.(r)) in
-      (* Signature agreement is necessary but a stale complement
-         relation can slip in right after CEs; re-check cheaply.
-         [equal_complement] compares in place — this runs once per
-         representative comparison, so allocating a full complement
-         signature here was a measurable hot-path cost. The skip is a
-         pure filter (no verdict was sought), so it does not charge
-         [tried]. *)
-      if compl && not (Sg.equal_complement ~num_patterns:np sig_n st.sigs.(r))
-      then attempt tried rest
-      else
-        match window_verdict st nd r with
-        | `Equal ->
-          st.stats.Stats.window_merges <- st.stats.Stats.window_merges + 1;
-          Some (L.of_node r false)
-        | `Compl ->
-          st.stats.Stats.window_merges <- st.stats.Stats.window_merges + 1;
-          Some (L.of_node r true)
-        | `Different ->
-          st.stats.Stats.window_splits <- st.stats.Stats.window_splits + 1;
-          (* Every examined representative charges [max_compares] — a
-             class dominated by window splits must still terminate its
-             walk. (This used to count only counterexample attempts.) *)
-          attempt (tried + 1) rest
-        | `Unknown -> (
-          (* SAT attempts walk the escalating retry schedule: a pair that
-             comes back undetermined under the base conflict limit is
-             re-queried with each schedule entry in turn (budget
-             permitting) before the engine gives the node up. *)
-          let rec sat_attempt limit schedule =
-            let answer =
-              timed st `Sat (fun () ->
-                  Sat.Tseitin.check_equiv ?conflict_limit:limit
-                    ?deadline:(Obs.Budget.deadline st.budget)
-                    ?certify:st.cert st.env (L.of_node nd false)
-                    (L.of_node r compl))
-            in
-            charge_solver st "sat";
-            match answer with
-            | Sat.Tseitin.Equivalent ->
-              st.stats.Stats.sat_unsat <- st.stats.Stats.sat_unsat + 1;
-              if st.cert <> None then
-                st.stats.Stats.certified_unsat <-
-                  st.stats.Stats.certified_unsat + 1;
-              `Merge (L.of_node r compl)
-            | Sat.Tseitin.Uncertified why ->
-              (* The solver answered but its certificate failed to
-                 replay. Treated exactly like budget exhaustion on this
-                 node: the merge is skipped and the node keeps its
-                 structural translation — degrade, never trust. *)
-              st.stats.Stats.certificate_rejected <-
-                st.stats.Stats.certificate_rejected + 1;
-              Obs.Trace.emitf
-                "certificate rejected (%s) — node %d keeps its structural \
-                 translation"
-                why nd;
-              `Fail
-            | Sat.Tseitin.Counterexample ce
-              when st.cert <> None && not (ce_distinguishes st ce nd r compl)
-              ->
-              (* A counterexample that does not actually distinguish the
-                 cones refines nothing; feeding it to the pattern set
-                 would only launder a solver lie into the classes. *)
-              st.stats.Stats.certificate_rejected <-
-                st.stats.Stats.certificate_rejected + 1;
-              Obs.Trace.emitf
-                "counterexample rejected (does not distinguish nodes %d and \
-                 %d) — merge skipped"
-                nd r;
-              `Fail
-            | Sat.Tseitin.Counterexample ce ->
-              st.stats.Stats.sat_sat <- st.stats.Stats.sat_sat + 1;
-              if st.cert <> None then
-                st.stats.Stats.certified_models <-
-                  st.stats.Stats.certified_models + 1;
-              note_counterexample st ce;
-              `Ce
-            | Sat.Tseitin.Undetermined -> (
-              st.stats.Stats.sat_undet <- st.stats.Stats.sat_undet + 1;
-              match schedule with
-              | next :: later
-                when (match Obs.Budget.check_now st.budget with
-                     | None -> true
-                     | Some reason ->
-                       note_exhausted st reason "sat";
-                       false) ->
-                st.stats.Stats.sat_retries <- st.stats.Stats.sat_retries + 1;
-                sat_attempt (Some next) later
-              | _ ->
-                (* don't-touch: stop burning budget on this node *)
-                `Fail)
-          in
-          let verdict =
-            match st.cfg.cache with
-            | Some ops -> cache_attempt st ops nd r compl
-            | None -> sat_attempt st.cfg.conflict_limit st.cfg.retry_schedule
-          in
-          match verdict with
-          | `Merge lit -> Some lit
-          | `Ce -> attempt (tried + 1) rest
-          | `Fail -> None))
-  in
-  attempt 0 reps
-
-(* ---- parallel dispatch (config.sat_domains >= 1) ----
-
-   The engine runs in waves. Collect: translate old nodes on the main
-   thread, resolving structural hits and window verdicts inline, until
-   [sat_wave] nodes need solver work; each becomes a task carrying its
-   pre-filtered candidate walk. Solve: the network frozen, the solver
-   domains drain the task queue ({!Dispatch.run_wave}), each loading
-   cone CNFs into its own incremental solver. Cube: tasks whose retry
-   schedule ran dry are split over all assignments of a few cone PIs
-   and re-attacked across the pool. Merge: the main thread — the single
-   writer — applies results in task order: proven merges into the map,
-   validated counterexamples into the pattern set (batched into one
-   shared resimulation), counters into stats.
-
-   Merges stay proof-gated exactly as in the inline path, so the result
-   is CEC-equivalent to the input regardless of domain count or merge
-   arrival order; what can drift between domain counts is only how much
-   redundancy a wave's deferred merges leave for later passes. *)
-
-type collected =
-  | C_none
-  | C_window_merge of L.t
-  | C_cache_merge of L.t
-  | C_task of Dispatch.cand list
-
-(* The window/signature part of [try_merge], producing the candidate
-   walk a worker will run. Window splits are charged to [max_compares]
-   here; a window-proved equality before any SAT candidate merges on
-   the spot, after one it terminates the task's walk (nothing beyond it
-   is reachable). *)
-let collect_candidates st nd =
-  let reps =
-    List.filter
-      (fun r -> r < nd)
-      (Equiv_classes.candidates st.classes st.sigs.(nd))
-  in
-  let sig_n = st.sigs.(nd) in
-  let np = st.sim_np in
-  let finish acc =
-    match acc with [] -> C_none | l -> C_task (List.rev l)
-  in
+  let finish acc = match acc with [] -> C_none | l -> C_task (List.rev l) in
   let rec walk tried acc = function
     | [] -> finish acc
     | _ when tried >= st.cfg.max_compares -> finish acc
+    | _ when not (budget_ok st "sat") ->
+      (* Mid-node exhaustion: the node keeps its structural
+         translation — never a partial merge. *)
+      C_none
     | r :: rest -> (
+      let sig_n = st.sigs.(nd) in
       let compl = not (Sg.equal sig_n st.sigs.(r)) in
-      if compl && not (Sg.equal_complement ~num_patterns:np sig_n st.sigs.(r))
+      (* Signature agreement is necessary, but a stale complement
+         relation can slip in right after counterexamples; re-check in
+         place. The skip is a pure filter (no verdict was sought), so it
+         does not charge [tried]. *)
+      if
+        compl
+        && not (Sg.equal_complement ~num_patterns:st.sim_np sig_n st.sigs.(r))
       then walk tried acc rest
       else
         match window_verdict st nd r with
         | (`Equal | `Compl) as v ->
-          let c = match v with `Compl -> true | `Equal -> false in
+          let c = v = `Compl in
           if acc = [] then begin
             st.stats.Stats.window_merges <- st.stats.Stats.window_merges + 1;
-            C_window_merge (L.of_node r c)
+            C_merge (L.of_node r c)
           end
           else
             finish
@@ -835,18 +626,17 @@ let collect_candidates st nd =
           st.stats.Stats.window_splits <- st.stats.Stats.window_splits + 1;
           walk (tried + 1) acc rest
         | `Unknown -> (
-          let defer () =
+          match st.cfg.cache with
+          | None ->
             walk (tried + 1)
               ({ Dispatch.c_rep = r; c_compl = compl; c_window_eq = false }
               :: acc)
               rest
-          in
-          match st.cfg.cache with
-          | Some ops when acc = [] -> (
-            match cache_lookup_equiv st ops nd r compl with
-            | Some lit -> C_cache_merge lit
-            | None -> defer ())
-          | _ -> defer ()))
+          | Some ops -> (
+            match cache_attempt st ops nd r compl with
+            | `Merge lit -> C_merge lit
+            | `Ce -> walk (tried + 1) acc rest
+            | `Fail -> C_none)))
   in
   walk 0 [] reps
 
@@ -930,7 +720,7 @@ let cube_phase st disp tasks results =
             match answers.(i) with
             | Dispatch.C_unsat ->
               counts.Dispatch.n_unsat <- counts.Dispatch.n_unsat + 1;
-              if st.cert <> None then
+              if st.cfg.certify then
                 counts.Dispatch.n_cert_unsat <-
                   counts.Dispatch.n_cert_unsat + 1
             | Dispatch.C_ce ce ->
@@ -958,12 +748,12 @@ let cube_phase st disp tasks results =
 (* Merge phase for one task: fold the worker's counters into stats,
    validate and apply its counterexamples in attempt order, then apply
    the proven merge (if any) to the translation map. Runs only on the
-   main thread.
+   calling domain.
 
-   [seen] deduplicates counterexample patterns across the whole
-   dispatched sweep: tasks of one wave walk the same frozen classes, so
-   different tasks routinely return bit-identical counterexamples, and
-   a duplicate pattern refines nothing — adding it would only grow the
+   [seen] deduplicates counterexample patterns across the whole sweep:
+   tasks walk classes frozen since the last resimulation, so different
+   tasks can return bit-identical counterexamples, and a duplicate
+   pattern refines nothing — adding it would only grow the
    pattern set (and with it every subsequent resimulation) linearly in
    SAT answers. The query still counts into [sat_sat]; only the
    redundant pattern is dropped, so [ce_patterns] counts patterns that
@@ -987,7 +777,7 @@ let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
   List.iter
     (fun (ce, rep, compl) ->
       if
-        st.cert <> None
+        st.cfg.certify
         && not (ce_distinguishes st ce task.Dispatch.t_node rep compl)
       then begin
         st.stats.Stats.certificate_rejected <-
@@ -999,7 +789,7 @@ let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
       end
       else begin
         st.stats.Stats.sat_sat <- st.stats.Stats.sat_sat + 1;
-        if st.cert <> None then
+        if st.cfg.certify then
           st.stats.Stats.certified_models <-
             st.stats.Stats.certified_models + 1;
         let key =
@@ -1025,12 +815,15 @@ let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
     | Some reason -> note_exhausted st reason "sat"
     | None -> ())
 
-let sweep_dispatched st old_net map tr =
+let sweep_ands st old_net map tr =
   let cfg = st.cfg in
+  (* With the cache armed, [collect] settles every candidate on this
+     domain and no task reaches the pool, so the pool spawns nothing. *)
   let disp =
-    Dispatch.create ~domains:cfg.sat_domains ~certify:cfg.certify
-      ~conflict_limit:cfg.conflict_limit ~retry_schedule:cfg.retry_schedule
-      st.fresh st.budget
+    Dispatch.create
+      ~domains:(if cfg.cache = None then cfg.sat_domains else 1)
+      ~certify:cfg.certify ~conflict_limit:cfg.conflict_limit
+      ~retry_schedule:cfg.retry_schedule st.fresh st.budget
   in
   Fun.protect
     ~finally:(fun () ->
@@ -1050,13 +843,18 @@ let sweep_dispatched st old_net map tr =
   let ands = Array.of_list (List.rev !ands) in
   let n = Array.length ands in
   let seen_ces = Hashtbl.create 256 in
-  let wave = max 1 cfg.sat_wave in
+  (* old node -> its task awaits a verdict in the current wave *)
+  let awaiting = Array.make (A.num_nodes old_net) false in
+  let fanin_awaits nd =
+    awaiting.(L.node (A.fanin0 old_net nd))
+    || awaiting.(L.node (A.fanin1 old_net nd))
+  in
   let trace_every = 4096 in
   let i = ref 0 in
   while !i < n do
-    (* Collect: translate until [sat_wave] tasks await solver work. *)
-    let tasks = ref [] and infos = ref [] and pending = ref 0 in
-    while !i < n && !pending < wave do
+    (* Collect, up to the first node with a fanin awaiting a verdict. *)
+    let tasks = ref [] and infos = ref [] in
+    while !i < n && not (fanin_awaits ands.(!i)) do
       let old_nd = ands.(!i) in
       incr i;
       if Obs.Trace.enabled () && !i mod trace_every = 0 then
@@ -1070,11 +868,15 @@ let sweep_dispatched st old_net map tr =
           (tr (A.fanin1 old_net old_nd))
       in
       map.(old_nd) <- l;
+      (* A structural hash hit or constant fold is already merged. Once
+         the budget is gone the rest of the pass is a plain structural
+         translation — no simulation, no SAT — and every merge recorded
+         so far was proven, so the partial sweep stays equivalent. *)
       if A.num_nodes st.fresh <> before && budget_ok st "sweep" then begin
         register_new_nodes st;
-        match collect_candidates st (L.node l) with
+        match collect st (L.node l) with
         | C_none -> ()
-        | C_window_merge merged | C_cache_merge merged ->
+        | C_merge merged ->
           st.stats.Stats.merges <- st.stats.Stats.merges + 1;
           if L.is_const merged then
             st.stats.Stats.const_merges <- st.stats.Stats.const_merges + 1;
@@ -1082,10 +884,10 @@ let sweep_dispatched st old_net map tr =
         | C_task cands ->
           tasks := { Dispatch.t_node = L.node l; t_cands = cands } :: !tasks;
           infos := (old_nd, l) :: !infos;
-          incr pending
+          awaiting.(old_nd) <- true
       end
     done;
-    if !pending > 0 then begin
+    if !tasks <> [] then begin
       let tasks = Array.of_list (List.rev !tasks) in
       let infos = Array.of_list (List.rev !infos) in
       (* Solve: the network is frozen until the wave returns. *)
@@ -1097,6 +899,7 @@ let sweep_dispatched st old_net map tr =
       Array.iteri
         (fun j res ->
           let old_nd, l = infos.(j) in
+          awaiting.(old_nd) <- false;
           apply_result st seen_ces tasks.(j) res map old_nd l)
         results
     end
@@ -1145,26 +948,6 @@ let run ?(config = stp_config) old_net =
   end;
   stats.Stats.initial_patterns <- P.num_patterns pats;
   let fresh = A.create ~capacity:(A.num_nodes old_net) () in
-  let solver = Sat.Solver.create () in
-  (* Budgeted sweeps issue thousands of small queries on this one
-     solver; size the learnt-DB ceiling to the largest per-query budget
-     (the last retry rung) rather than the solver's whole-run default,
-     so LBD reduction keeps the database proportional to a query. *)
-  (match config.conflict_limit with
-  | Some base ->
-    let top = List.fold_left max base config.retry_schedule in
-    Sat.Solver.set_max_learnts solver (max 2000 (4 * top))
-  | None -> ());
-  (* Certified mode: the checker must observe the clause stream from the
-     first Tseitin clause on, so it attaches before any encoding. *)
-  let cert =
-    if config.certify then begin
-      let d = Sat.Drup.create () in
-      Sat.Drup.attach d solver;
-      Some d
-    end
-    else None
-  in
   let st =
     {
       cfg = config;
@@ -1180,15 +963,8 @@ let run ?(config = stp_config) old_net =
       sim_np = P.num_patterns pats;
       classes = Equiv_classes.create ~num_patterns:(P.num_patterns pats);
       pending_ce = 0;
-      env = Sat.Tseitin.create fresh solver;
-      solver;
       budget;
-      charged_conflicts = 0;
-      charged_propagations = 0;
-      cert;
-      eval_val = [||];
-      eval_stamp = [||];
-      eval_epoch = 0;
+      eval = Dispatch.scratch ();
     }
   in
   (* Guided init may already have eaten the whole budget. *)
@@ -1208,42 +984,7 @@ let run ?(config = stp_config) old_net =
     assert (m >= 0);
     L.xor_compl m (L.is_compl l)
   in
-  if config.sat_domains >= 1 then
-    (* Parallel dispatch: wave-collected tasks solved across a pool of
-       solver domains, merges applied by this (single-writer) thread. *)
-    sweep_dispatched st old_net map tr
-  else begin
-    let trace_every = 4096 in
-    let processed = ref 0 in
-    A.iter_ands old_net (fun nd ->
-        incr processed;
-        if Obs.Trace.enabled () && !processed mod trace_every = 0 then
-          Obs.Trace.emitf "progress: %d/%d ANDs, %d merges, %d SAT calls"
-            !processed (A.num_ands old_net) st.stats.Stats.merges
-            (Stats.total_sat_calls st.stats);
-        let before = A.num_nodes st.fresh in
-        let l = A.add_and st.fresh (tr (A.fanin0 old_net nd)) (tr (A.fanin1 old_net nd)) in
-        if A.num_nodes st.fresh = before then
-          (* Structural hash hit or constant fold: already merged. *)
-          map.(nd) <- l
-        else if not (budget_ok st "sweep") then
-          (* Degraded mode: the budget is gone, so the rest of the pass is
-             a plain structural translation — linear, no simulation, no
-             SAT. Every merge recorded so far was proven, so the partial
-             sweep stays functionally equivalent to the input. *)
-          map.(nd) <- l
-        else begin
-          register_new_nodes st;
-          let fresh_node = L.node l in
-          match try_merge st fresh_node with
-          | Some merged ->
-            st.stats.Stats.merges <- st.stats.Stats.merges + 1;
-            if L.is_const merged then
-              st.stats.Stats.const_merges <- st.stats.Stats.const_merges + 1;
-            map.(nd) <- L.xor_compl merged (L.is_compl l)
-          | None -> map.(nd) <- l
-        end)
-  end;
+  sweep_ands st old_net map tr;
   Array.iter (fun l -> ignore (A.add_po st.fresh (tr l))) (A.pos old_net);
   (* The fresh network still holds nodes that lost their fanout to a
      merge; a cleanup pass drops them. *)
@@ -1274,14 +1015,6 @@ let run ?(config = stp_config) old_net =
                   o)))
       (A.pos old_net)
   end;
-  (* Accumulate (not assign): the dispatch path already folded its pool
-     members' solver counters in. *)
-  let s = Sat.Solver.stats solver in
-  stats.Stats.sat_decisions <- stats.Stats.sat_decisions + s.Sat.Solver.decisions;
-  stats.Stats.sat_conflicts <- stats.Stats.sat_conflicts + s.Sat.Solver.conflicts;
-  stats.Stats.sat_propagations <-
-    stats.Stats.sat_propagations + s.Sat.Solver.propagations;
-  stats.Stats.sat_learned <- stats.Stats.sat_learned + s.Sat.Solver.learned;
   stats.Stats.total_time <- Obs.Clock.now () -. t_start;
   Obs.Trace.emitf "sweep done: %d -> %d ANDs, %d merges, %.3fs"
     (A.num_ands old_net) (A.num_ands result) stats.Stats.merges

@@ -67,23 +67,17 @@ type config = {
       (** minimum pattern count before the parallel path is taken — below
           it the fork-join overhead outweighs the sharded work *)
   sat_domains : int;
-      (** [0] (default): SAT queries issue inline from the rebuild loop
-          — the legacy sequential path, untouched. [>= 1]: queries
-          dispatch to a pool of that many solver domains ({!Dispatch}),
-          each owning an incremental solver (and, in certified mode, its
-          own DRUP checker); the engine collects per-node candidate
-          tasks in waves of [sat_wave], freezes the network while the
-          pool drains them, then applies the results in task order as
-          the single writer. Merges stay proof-gated, so the result is
-          CEC-equivalent to the input for every domain count.
-          [sat_domains = 1] exercises the dispatch machinery without
-          concurrency. See DESIGN.md "Parallel dispatch". *)
-  sat_wave : int;
-      (** tasks collected per dispatch wave (default 128). Larger waves
-          amortize synchronization but defer merges longer, leaving
-          same-wave duplicates to later structural hashing; a wave at
-          least the task count makes a dispatched sweep fully
-          deterministic across domain counts. *)
+      (** size of the solver pool ({!Dispatch}; default [1], values
+          below [1] count as [1]). Each member owns an incremental
+          solver and, in certified mode, its own DRUP checker. The
+          engine collects per-node candidate tasks in waves, each
+          ending before the first node with a fanin whose task awaits
+          its verdict, freezes the network while the pool drains them,
+          then applies the results in task order as the single writer.
+          A one-domain pool runs its tasks on the calling domain and
+          spawns nothing. While every query is answered (no conflict
+          limit, no budget cut) the swept network is the same for every
+          pool size. See DESIGN.md "Parallel dispatch". *)
   deadline : float option;
       (** absolute {!Obs.Clock} deadline for the whole sweep. Once it
           passes, the engine stops issuing SAT queries, finishes the
@@ -117,17 +111,16 @@ type config = {
           [Stats.certificate_rejected]. See DESIGN.md "Trust
           boundary". *)
   cache : cache_ops option;
-      (** cross-run equivalence cache. When armed, the inline path runs
-          its SAT work through {!Cone_cert}: each Unknown pair is
+      (** cross-run equivalence cache. When armed, every pair the
+          window leaves open is settled while the wave is collected, on
+          the calling domain, through {!Cone_cert}: the pair is
           extracted into a canonical standalone cone, looked up by
           content key, and on a miss proven on a throwaway solver whose
           self-contained certificate (or counterexample) is stored
-          back. Undetermined outcomes are never stored, so a warm sweep
-          replays the cold run's verdicts — identical merges, CEC-equal
-          results. Dispatch mode ([sat_domains >= 1]) is lookup-only:
-          walk-heading equivalence hits merge like window merges,
-          everything else goes to the solver pool and nothing is
-          written. *)
+          back. No task reaches the solver pool, so [sat_domains] does
+          not apply. Undetermined outcomes are never stored, so a warm
+          sweep replays the cold run's verdicts — identical merges,
+          CEC-equal results. *)
   cache_paranoid : bool;
       (** replay stored DRUP certificates through a fresh {!Sat.Drup}
           before serving a hit even outside certified mode — the

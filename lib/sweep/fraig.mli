@@ -3,8 +3,9 @@
     topological SAT merging, counter-example resimulation. Table II's
     left columns.
 
-    Budgeting and verification knobs ([deadline] / [timeout] /
-    [retry_schedule] / [verify]) behave exactly as in {!Stp_sweep}. *)
+    Budgeting, verification and pool knobs ([deadline] / [timeout] /
+    [retry_schedule] / [verify] / [sat_domains]) behave exactly as in
+    {!Stp_sweep}. *)
 
 val sweep :
   ?seed:int64 ->
@@ -13,7 +14,6 @@ val sweep :
   ?retry_schedule:int list ->
   ?sim_domains:int ->
   ?sat_domains:int ->
-  ?sat_wave:int ->
   ?deadline:float ->
   ?timeout:float ->
   ?budget:Obs.Budget.t ->
@@ -23,21 +23,3 @@ val sweep :
   ?cache_paranoid:bool ->
   Aig.Network.t ->
   Aig.Network.t * Stats.t
-
-val config :
-  ?seed:int64 ->
-  ?initial_words:int ->
-  ?conflict_limit:int ->
-  ?retry_schedule:int list ->
-  ?sim_domains:int ->
-  ?sat_domains:int ->
-  ?sat_wave:int ->
-  ?deadline:float ->
-  ?timeout:float ->
-  ?budget:Obs.Budget.t ->
-  ?verify:bool ->
-  ?certify:bool ->
-  ?cache:Engine.cache_ops ->
-  ?cache_paranoid:bool ->
-  unit ->
-  Engine.config

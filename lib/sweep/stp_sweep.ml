@@ -1,6 +1,6 @@
-let config ?seed ?initial_words ?conflict_limit ?retry_schedule
-    ?window_max_leaves ?sim_domains ?sat_domains ?sat_wave ?deadline ?timeout
-    ?budget ?(verify = false) ?(certify = false) ?cache ?(cache_paranoid = false) () =
+let sweep ?seed ?initial_words ?conflict_limit ?retry_schedule
+    ?window_max_leaves ?sim_domains ?sat_domains ?deadline ?timeout ?budget
+    ?(verify = false) ?(certify = false) ?cache ?(cache_paranoid = false) net =
   let base = Engine.stp_config in
   let deadline =
     match (deadline, timeout, budget) with
@@ -9,34 +9,28 @@ let config ?seed ?initial_words ?conflict_limit ?retry_schedule
     | None, None, Some b -> Obs.Budget.deadline b
     | None, None, None -> base.Engine.deadline
   in
-  {
-    base with
-    Engine.seed = Option.value seed ~default:base.Engine.seed;
-    initial_words = Option.value initial_words ~default:base.Engine.initial_words;
-    conflict_limit =
-      (match conflict_limit with Some l -> Some l | None -> base.Engine.conflict_limit);
-    retry_schedule =
-      Option.value retry_schedule ~default:base.Engine.retry_schedule;
-    window_max_leaves =
-      Option.value window_max_leaves ~default:base.Engine.window_max_leaves;
-    sim_domains = Option.value sim_domains ~default:base.Engine.sim_domains;
-    sat_domains = Option.value sat_domains ~default:base.Engine.sat_domains;
-    sat_wave = Option.value sat_wave ~default:base.Engine.sat_wave;
-    deadline;
-    budget;
-    verify;
-    certify;
-    cache;
-    cache_paranoid;
-  }
-
-let sweep ?seed ?initial_words ?conflict_limit ?retry_schedule
-    ?window_max_leaves ?sim_domains ?sat_domains ?sat_wave ?deadline ?timeout
-    ?budget ?verify ?certify ?cache ?cache_paranoid net =
   let cfg =
-    config ?seed ?initial_words ?conflict_limit ?retry_schedule
-      ?window_max_leaves ?sim_domains ?sat_domains ?sat_wave ?deadline
-      ?timeout ?budget ?verify ?certify ?cache ?cache_paranoid ()
+    {
+      base with
+      Engine.seed = Option.value seed ~default:base.Engine.seed;
+      initial_words =
+        Option.value initial_words ~default:base.Engine.initial_words;
+      conflict_limit =
+        (match conflict_limit with
+        | Some l -> Some l
+        | None -> base.Engine.conflict_limit);
+      retry_schedule =
+        Option.value retry_schedule ~default:base.Engine.retry_schedule;
+      window_max_leaves =
+        Option.value window_max_leaves ~default:base.Engine.window_max_leaves;
+      sim_domains = Option.value sim_domains ~default:base.Engine.sim_domains;
+      sat_domains = Option.value sat_domains ~default:base.Engine.sat_domains;
+      deadline;
+      budget;
+      verify;
+      certify;
+      cache;
+      cache_paranoid;
+    }
   in
-  if cfg.Engine.verify then Selfcheck.run ~config:cfg net
-  else Engine.run ~config:cfg net
+  if verify then Selfcheck.run ~config:cfg net else Engine.run ~config:cfg net

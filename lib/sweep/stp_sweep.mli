@@ -13,11 +13,10 @@
     conflict limits re-tried on undetermined pairs. [verify] routes the
     sweep through {!Selfcheck.run}, raising
     {!Engine.Verification_failed} unless the result provably matches
-    the input. [sat_domains] (default 0 = inline) dispatches SAT
-    queries to a pool of solver domains in waves of [sat_wave] — see
-    {!Engine.config}. [certify] makes every solver answer carry a replayed
-    certificate ({!Engine.config}); rejected certificates degrade their
-    node instead of merging it. *)
+    the input. [sat_domains] (default 1) sizes the solver pool the
+    queries run on — see {!Engine.config}. [certify] makes every solver
+    answer carry a replayed certificate ({!Engine.config}); rejected
+    certificates degrade their node instead of merging it. *)
 
 val sweep :
   ?seed:int64 ->
@@ -27,7 +26,6 @@ val sweep :
   ?window_max_leaves:int ->
   ?sim_domains:int ->
   ?sat_domains:int ->
-  ?sat_wave:int ->
   ?deadline:float ->
   ?timeout:float ->
   ?budget:Obs.Budget.t ->
@@ -37,22 +35,3 @@ val sweep :
   ?cache_paranoid:bool ->
   Aig.Network.t ->
   Aig.Network.t * Stats.t
-
-val config :
-  ?seed:int64 ->
-  ?initial_words:int ->
-  ?conflict_limit:int ->
-  ?retry_schedule:int list ->
-  ?window_max_leaves:int ->
-  ?sim_domains:int ->
-  ?sat_domains:int ->
-  ?sat_wave:int ->
-  ?deadline:float ->
-  ?timeout:float ->
-  ?budget:Obs.Budget.t ->
-  ?verify:bool ->
-  ?certify:bool ->
-  ?cache:Engine.cache_ops ->
-  ?cache_paranoid:bool ->
-  unit ->
-  Engine.config

@@ -80,6 +80,17 @@ module Pool = struct
     in
     loop ()
 
+  let shutdown t =
+    Mutex.lock t.m;
+    let ws = t.workers in
+    t.workers <- [];
+    if not t.stopped then begin
+      t.stopped <- true;
+      Condition.broadcast t.work
+    end;
+    Mutex.unlock t.m;
+    List.iter Domain.join ws
+
   let create ~domains =
     let domains = max 1 domains in
     let t =
@@ -96,8 +107,16 @@ module Pool = struct
         workers = [];
       }
     in
-    t.workers <-
-      List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
+    for i = 1 to domains - 1 do
+      match Domain.spawn (fun () -> worker t i) with
+      | d -> t.workers <- d :: t.workers
+      | exception e ->
+        (* Typically the runtime's domain limit. The workers already
+           running would wait for jobs forever and hold their slots, so
+           stop and join them before giving up. *)
+        shutdown t;
+        raise e
+    done;
     t
 
   let domains t = t.domains
@@ -167,17 +186,6 @@ module Pool = struct
             in
             go ())
       end
-
-  let shutdown t =
-    Mutex.lock t.m;
-    let ws = t.workers in
-    t.workers <- [];
-    if not t.stopped then begin
-      t.stopped <- true;
-      Condition.broadcast t.work
-    end;
-    Mutex.unlock t.m;
-    List.iter Domain.join ws
 
   let with_pool ~domains f =
     let t = create ~domains in

@@ -39,7 +39,10 @@ module Pool : sig
 
   val create : domains:int -> t
   (** [create ~domains] spawns [domains - 1] workers; the creating domain
-      is the pool's member 0. [domains] is clamped to at least 1. *)
+      is the pool's member 0. [domains] is clamped to at least 1. If a
+      spawn fails (for instance at the runtime's domain limit), the
+      workers already spawned are stopped and joined and the exception
+      is re-raised. *)
 
   val domains : t -> int
 

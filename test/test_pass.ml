@@ -61,6 +61,8 @@ let test_parse_errors () =
   expect_error "sweep -e" "col 7: flag '-e' expects a value";
   expect_error "sweep -e bogus" "col 7: unknown engine 'bogus'";
   expect_error "rewrite -k four" "col 9: expected an integer";
+  expect_error "sweep --sat-domains 0" "col 7: sat-domains must be at least 1";
+  expect_error "sweep -e fraig --sat-domains -2" "col 16: sat-domains";
   expect_error "sweep; balance;" "col 15: dangling ';'";
   expect_error ";sweep" "col 1: empty command";
   expect_error "" "empty script";

@@ -512,6 +512,17 @@ let test_pool_reuse () =
       Sutil.Par.Pool.for_ranges pool 100 (fun ~lo ~hi ->
           if lo < 0 || hi > 100 then Alcotest.fail "range out of bounds"))
 
+let test_pool_spawn_failure () =
+  (* More domains than the runtime allows: the spawn fails part-way, and
+     the workers spawned before it must not stay alive holding their
+     slots — afterwards an ordinary fork-join still gets its domains. *)
+  (match Sutil.Par.Pool.create ~domains:1000 with
+  | pool -> Sutil.Par.Pool.shutdown pool
+  | exception Failure _ -> ());
+  let slots = Array.make 2 0 in
+  Sutil.Par.run ~domains:2 (fun i -> slots.(i) <- i + 1);
+  Alcotest.(check (array int)) "both domains ran" [| 1; 2 |] slots
+
 let test_compile_cache () =
   let module SS = Sim.Stp_sim in
   let net = K.create () in
@@ -788,6 +799,8 @@ let () =
             prop_parallel_klut;
           Alcotest.test_case "range splitting" `Quick test_par_split;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+          Alcotest.test_case "pool spawn failure joins workers" `Quick
+            test_pool_spawn_failure;
           Alcotest.test_case "compile cache" `Quick test_compile_cache;
         ] );
       ( "kernel",

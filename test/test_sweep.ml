@@ -454,20 +454,12 @@ let test_max_compares_charges_window_splits () =
         (label ^ ": starved walk stops short of the split-guarded twin")
         true
         (st1.Sweep.Stats.merges < st.Sweep.Stats.merges))
-    [ 0; 1 ]
+    [ 1; 2 ]
 
 (* ---- parallel SAT dispatch ---- *)
 
 let dispatch_config ?(certify = false) ~sat_domains () =
-  {
-    Sweep.Engine.stp_config with
-    Sweep.Engine.sat_domains;
-    (* One wave >> task count: every task derives from the
-       seed-deterministic initial signatures alone, making the whole
-       dispatched sweep reproducible across domain counts. *)
-    sat_wave = 16384;
-    certify;
-  }
+  { Sweep.Engine.stp_config with Sweep.Engine.sat_domains; certify }
 
 let test_dispatch_domains_agree () =
   (* --sat-domains 1/2/4 must produce CEC-equivalent results with
@@ -556,7 +548,6 @@ let test_dispatch_cube_and_conquer () =
         {
           Sweep.Engine.fraig_config with
           Sweep.Engine.sat_domains = 2;
-          sat_wave = 256;
           conflict_limit = Some 1;
           retry_schedule = [ 2 ];
         }
@@ -579,7 +570,7 @@ let test_dispatch_budget_degrades () =
   let base = random_network rng ~pis:10 ~gates:8000 ~pos:8 in
   let net = Gen.Redundant.inject ~seed:13L ~fraction:0.3 base in
   let swept, st =
-    Sweep.Stp_sweep.sweep ~timeout:0.01 ~sat_domains:2 ~sat_wave:64 net
+    Sweep.Stp_sweep.sweep ~timeout:0.01 ~sat_domains:2 net
   in
   (match st.Sweep.Stats.budget_exhausted with
   | Some _ -> ()
@@ -600,6 +591,29 @@ let test_dispatch_budget_degrades () =
   | Some e ->
     check "reason is deadline" true (e.Sweep.Stats.reason = "deadline")
   | None -> Alcotest.fail "expired deadline not recorded"
+
+let test_dispatch_hwmcc_bytes () =
+  (* Waves end before a node whose fanin still awaits its verdict, so
+     every node is translated through its fanins' final literals: the
+     swept bytes must not depend on the pool size, and the result must
+     keep almost no redundancy for a second sweep to find. *)
+  List.iter
+    (fun name ->
+      let net = Gen.Suites.hwmcc_by_name name in
+      let sweep d = fst (Sweep.Stp_sweep.sweep ~sat_domains:d net) in
+      let r1 = sweep 1 in
+      let text1 = Aig.Aiger.write r1 in
+      List.iter
+        (fun d ->
+          if Aig.Aiger.write (sweep d) <> text1 then
+            Alcotest.failf "%s: %d domains wrote different bytes than 1" name
+              d)
+        [ 2; 4 ];
+      let _, st2 = Sweep.Stp_sweep.sweep r1 in
+      if 100 * st2.Sweep.Stats.merges >= A.num_ands r1 then
+        Alcotest.failf "%s: a second sweep merged %d of %d ANDs" name
+          st2.Sweep.Stats.merges (A.num_ands r1))
+    [ "b18"; "b19" ]
 
 let test_guided_consts_recorded () =
   (* Constants proven during guided initialization must surface in the
@@ -1141,6 +1155,8 @@ let () =
             test_dispatch_cube_and_conquer;
           Alcotest.test_case "budget degrades" `Quick
             test_dispatch_budget_degrades;
+          Alcotest.test_case "hwmcc bytes agree across domain counts" `Quick
+            test_dispatch_hwmcc_bytes;
         ] );
       ( "robustness",
         [
