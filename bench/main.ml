@@ -84,7 +84,9 @@ let parallel =
          speedup. *)
       Test.make_indexed ~name:"sweep" ~args:doms (fun d ->
           Staged.stage (fun () ->
-              Sweep.Stp_sweep.sweep ~sat_domains:d sweep_net));
+              Sweep.Stp_sweep.sweep
+                ~config:{ Sweep.Engine.stp_config with sat_domains = d }
+                sweep_net));
     ]
 
 let kernel =
@@ -195,7 +197,9 @@ let mode_s =
 let incremental =
   (* The counter-example resimulation pattern: one full initial pass,
      then 32 appended patterns handled by a tail refresh (incremental)
-     or a second full pass (baseline). *)
+     or a second full pass (baseline). The tail refresh is what the
+     sweep engine does: one compiled plan, re-run over only the words
+     from the one holding the first new pattern. *)
   let base_pats () =
     Sim.Patterns.random ~seed:77L
       ~num_pis:(Aig.Network.num_pis sim_aig)
@@ -210,9 +214,20 @@ let incremental =
     [
       Test.make ~name:"incremental-tail"
         (Staged.stage (fun () ->
-             let inc = Sim.Incremental.create sim_aig (base_pats ()) in
-             appends 32 (Sim.Incremental.add_pattern inc);
-             Sim.Incremental.refresh inc));
+             let pats = base_pats () in
+             let plan = Sim.Kernel.compile_aig sim_aig in
+             let covered = Sim.Patterns.num_patterns pats in
+             let tbl = Sim.Kernel.alloc_table plan ((covered + 32 + 31) / 32) in
+             let run lo =
+               Sim.Kernel.run plan pats tbl ~inst_lo:0
+                 ~inst_hi:(Sim.Kernel.num_instructions plan)
+                 ~lo ~hi:(Sim.Patterns.num_words pats)
+             in
+             run 0;
+             appends 32 (Sim.Patterns.add_pattern pats);
+             run (covered lsr 5);
+             let np = Sim.Patterns.num_patterns pats in
+             Array.iter (Sim.Signature.num_patterns_mask np) tbl));
       Test.make ~name:"full-resim"
         (Staged.stage (fun () ->
              let pats = base_pats () in

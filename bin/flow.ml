@@ -48,8 +48,8 @@ let run circuit file script engine domains sat_domains timeout verify certify
   in
   let echo s = print_string s; flush stdout in
   let ctx =
-    Pass.create_ctx ~sim_domains:domains ~sat_domains ?timeout ~certify ~echo
-      net
+    Pass.create_ctx ~sim_domains:domains ~sat_domains
+      ~budget:(Obs.Budget.create ?timeout ()) ~certify ~echo net
   in
   echo (Printf.sprintf "%-14s %s\n" name
           (Format.asprintf "%a" Aig.Network.pp_stats net));

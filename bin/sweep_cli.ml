@@ -101,7 +101,8 @@ let run circuit file engine timeout retries sat_domains self_verify verify
       output json echo
   | None ->
   let ctx =
-    Pass.create_ctx ?timeout ~verify:self_verify ~certify ~echo net
+    Pass.create_ctx ~budget:(Obs.Budget.create ?timeout ()) ~verify:self_verify
+      ~certify ~echo net
   in
   echo (Printf.sprintf "%-14s %s\n" name
           (Format.asprintf "%a" Aig.Network.pp_stats net));

@@ -26,8 +26,15 @@ let run ~names ~timeout ~verify ~certify ~json ~trace () =
     (fun (name, net) ->
       (* Each engine run gets its own budget so a blown baseline sweep
          does not also starve the STP one. *)
-      let swept_f, st_f = Sweep.Fraig.sweep ?timeout ~certify net in
-      let swept_s, st_s = Sweep.Stp_sweep.sweep ?timeout ~certify net in
+      let config (preset : Sweep.Engine.config) =
+        { preset with budget = Some (Obs.Budget.create ?timeout ()); certify }
+      in
+      let swept_f, st_f =
+        Sweep.Fraig.sweep ~config:(config Sweep.Engine.fraig_config) net
+      in
+      let swept_s, st_s =
+        Sweep.Stp_sweep.sweep ~config:(config Sweep.Engine.stp_config) net
+      in
       (match (st_f.Sweep.Stats.budget_exhausted, st_s.Sweep.Stats.budget_exhausted) with
       | None, None -> ()
       | f, s ->

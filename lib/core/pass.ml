@@ -11,10 +11,6 @@
 module A = Aig.Network
 
 type ctx = {
-  seed : int64 option;
-      (* None -> each engine keeps its own default seed, which is what
-         makes the legacy flow byte-identical to the pre-pass-manager
-         binaries *)
   sim_domains : int;
   sat_domains : int;
   budget : Obs.Budget.t;
@@ -31,17 +27,10 @@ type ctx = {
   echo : string -> unit;
 }
 
-let create_ctx ?seed ?(sim_domains = 1) ?(sat_domains = 1) ?timeout ?budget
-    ?(verify = false) ?(certify = false) ?cache ?(cache_paranoid = false)
-    ?(echo = print_string) input =
-  let budget =
-    match (budget, timeout) with
-    | Some b, _ -> b (* externally owned (a pool lease's); wins over timeout *)
-    | None, Some s -> Obs.Budget.create ~timeout:s ()
-    | None, None -> Obs.Budget.unlimited ()
-  in
+let create_ctx ?(sim_domains = 1) ?(sat_domains = 1)
+    ?(budget = Obs.Budget.unlimited ()) ?(verify = false) ?(certify = false)
+    ?cache ?(cache_paranoid = false) ?(echo = print_string) input =
   {
-    seed;
     sim_domains;
     sat_domains;
     budget;
@@ -105,60 +94,55 @@ let int_arg key v =
   | None -> raise (Bad_arg (key, Printf.sprintf "expected an integer, got '%s'" v))
 
 let sweep_make args =
-  let engine =
+  let engine, preset =
     match List.assoc_opt "engine" args with
-    | None | Some "stp" -> `Stp
-    | Some "fraig" -> `Fraig
+    | None | Some "stp" -> ("stp", Sweep.Engine.stp_config)
+    | Some "fraig" -> ("fraig", Sweep.Engine.fraig_config)
     | Some other ->
       raise
         (Bad_arg ("engine", Printf.sprintf "unknown engine '%s' (stp|fraig)" other))
   in
+  let positive key v =
+    let i = int_arg key v in
+    if i < 1 then
+      raise
+        (Bad_arg (key, Printf.sprintf "%s must be at least 1, got %d" key i));
+    i
+  in
+  let value key parse = Option.map parse (List.assoc_opt key args) in
+  let conflict_limit = value "conflict-limit" (positive "conflict-limit") in
   let retry_schedule =
-    Option.map
-      (fun v ->
+    value "retry-schedule" (fun v ->
         String.split_on_char ',' v
-        |> List.map (fun s -> int_arg "retry-schedule" (String.trim s)))
-      (List.assoc_opt "retry-schedule" args)
+        |> List.map (fun s -> positive "retry-schedule" (String.trim s)))
   in
-  let conflict_limit =
-    Option.map (int_arg "conflict-limit") (List.assoc_opt "conflict-limit" args)
-  in
-  let sat_domains_arg =
-    Option.map
-      (fun v ->
-        let d = int_arg "sat-domains" v in
-        if d < 1 then
-          raise
-            (Bad_arg
-               ( "sat-domains",
-                 Printf.sprintf "sat-domains must be at least 1, got %d" d ));
-        d)
-      (List.assoc_opt "sat-domains" args)
-  in
+  let sat_domains = value "sat-domains" (positive "sat-domains") in
   fun ctx net ->
     (* The whole pipeline budget is handed to the sweep: it honors the
        shared deadline plus any conflict/propagation caps, charges its
        SAT work back (so an Obs.Pool lease can reclaim unspent
        allowance), and its sticky exhaustion is visible to the runner's
-       between-pass checks. Degradation (PR 3) handles mid-pass
-       exhaustion. *)
-    (* Per-pass --sat-domains wins over the pipeline-level default. *)
-    let sat_domains =
-      match sat_domains_arg with Some d -> d | None -> ctx.sat_domains
+       between-pass checks; the engine degrades on mid-pass exhaustion.
+       A per-pass --sat-domains wins over the pipeline-level default. *)
+    let config =
+      {
+        preset with
+        Sweep.Engine.conflict_limit =
+          (match conflict_limit with
+          | None -> preset.Sweep.Engine.conflict_limit
+          | l -> l);
+        retry_schedule =
+          Option.value retry_schedule ~default:preset.Sweep.Engine.retry_schedule;
+        sim_domains = ctx.sim_domains;
+        sat_domains = Option.value sat_domains ~default:ctx.sat_domains;
+        budget = Some ctx.budget;
+        verify = ctx.verify;
+        certify = ctx.certify;
+        cache = ctx.cache;
+        cache_paranoid = ctx.cache_paranoid;
+      }
     in
-    let swept, stats =
-      match engine with
-      | `Stp ->
-        Sweep.Stp_sweep.sweep ?seed:ctx.seed ?conflict_limit ?retry_schedule
-          ~sim_domains:ctx.sim_domains ~sat_domains ~budget:ctx.budget
-          ~verify:ctx.verify ~certify:ctx.certify ?cache:ctx.cache
-          ~cache_paranoid:ctx.cache_paranoid net
-      | `Fraig ->
-        Sweep.Fraig.sweep ?seed:ctx.seed ?conflict_limit ?retry_schedule
-          ~sim_domains:ctx.sim_domains ~sat_domains ~budget:ctx.budget
-          ~verify:ctx.verify ~certify:ctx.certify ?cache:ctx.cache
-          ~cache_paranoid:ctx.cache_paranoid net
-    in
+    let swept, stats = Sweep.Selfcheck.run ~config net in
     ctx.echo
       (Printf.sprintf "  %s\n" (Format.asprintf "%a" Sweep.Stats.pp stats));
     if ctx.certify then
@@ -179,10 +163,7 @@ let sweep_make args =
       | Obs.Json.Obj fields -> fields
       | other -> [ ("sweep", other) ]
     in
-    ( swept,
-      Obs.Json.Obj
-        (("engine", Obs.Json.String (match engine with `Stp -> "stp" | `Fraig -> "fraig"))
-        :: fields) )
+    (swept, Obs.Json.Obj (("engine", Obs.Json.String engine) :: fields))
 
 let rewrite_make args =
   let k = Option.map (int_arg "k") (List.assoc_opt "k" args) in
@@ -261,12 +242,12 @@ let () =
             {
               keys = [ "--retry-schedule" ];
               arity = Value;
-              flag_doc = "escalating conflict limits, comma-separated";
+              flag_doc = "escalating conflict limits, comma-separated, each >= 1";
             };
             {
               keys = [ "--conflict-limit" ];
               arity = Value;
-              flag_doc = "per-query conflict cap";
+              flag_doc = "per-query conflict cap (>= 1)";
             };
             {
               keys = [ "--sat-domains" ];

@@ -3,8 +3,8 @@
 
     A {e pass} is [ctx -> network -> network * report]: it transforms an
     AIG and returns a pass-specific JSON record. The {e context} carries
-    everything a production flow shares across stages — the seed policy,
-    the simulation-domain count, one {!Obs.Budget} for the whole
+    everything a production flow shares across stages — the
+    simulation-domain count, one {!Obs.Budget} for the whole
     pipeline, the verify/certify policy, {!Obs.Metrics}, and a snapshot
     of the pipeline input for equivalence checkpoints. The {e registry}
     provides the built-in passes ([sweep], [rewrite], [balance],
@@ -20,9 +20,6 @@
     to every sweep {e and} every verify CEC in the script. *)
 
 type ctx = {
-  seed : int64 option;
-      (** [None] — each engine uses its own default seed (the legacy
-          CLI behaviour); [Some s] overrides every pass. *)
   sim_domains : int;
   sat_domains : int;
       (** default solver-pool size for every sweep pass (default [1],
@@ -45,12 +42,14 @@ type ctx = {
       (** CEC verdicts recorded by [verify] passes, newest first *)
   echo : string -> unit;  (** human-readable progress sink *)
 }
+(** Every sweep pass runs its engine preset ([-e stp|fraig], see
+    {!Sweep.Engine.config}) with the preset's own seed, its flags
+    ([--conflict-limit], [--retry-schedule], [--sat-domains]) and these
+    pipeline-wide fields filled in by functional update. *)
 
 val create_ctx :
-  ?seed:int64 ->
   ?sim_domains:int ->
   ?sat_domains:int ->
-  ?timeout:float ->
   ?budget:Obs.Budget.t ->
   ?verify:bool ->
   ?certify:bool ->
@@ -59,11 +58,10 @@ val create_ctx :
   ?echo:(string -> unit) ->
   Aig.Network.t ->
   ctx
-(** [timeout] (seconds from now) arms the shared pipeline budget;
-    [budget] installs an externally owned one instead (an {!Obs.Pool}
-    lease's budget, in the daemon) and wins over [timeout]; omitted,
-    the budget is unlimited. [echo] defaults to stdout — pass [ignore]
-    for quiet runs (tests). *)
+(** [budget] is the shared pipeline budget — a CLI builds
+    [Obs.Budget.create ?timeout ()], the daemon hands over an
+    {!Obs.Pool} lease's; omitted, the budget is unlimited. [echo]
+    defaults to stdout — pass [ignore] for quiet runs (tests). *)
 
 type t = {
   name : string;

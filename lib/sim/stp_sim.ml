@@ -7,16 +7,6 @@ module T = Tt.Truth_table
    the process-wide shared instance, so repeated simulations — across
    passes, and across daemon requests — reuse each other's cascades. *)
 
-module Compile_cache = struct
-  type t = Kernel.Cache.t
-
-  let create ?max_entries () = Kernel.Cache.create ?max_entries ()
-  let hits = Kernel.Cache.hits
-  let misses = Kernel.Cache.misses
-  let evictions = Kernel.Cache.evictions
-  let length = Kernel.Cache.length
-end
-
 let simulate_klut ?(domains = 1) ?cache net pats =
   Kernel.execute ~domains (Kernel.compile_klut ?cache ~style:`Stp net) pats
 

@@ -21,33 +21,16 @@
     compiled sequentially first, so the parallel tables are bit-identical
     to the sequential ones. *)
 
-(** Compiled selection-cascade matrices, memoized by truth table — an
-    alias of the kernel's bounded {!Kernel.Cache}. By default
-    simulations share the process-wide instance ({!Kernel.Cache.shared});
-    pass your own to isolate or to observe hit/miss counts. *)
-module Compile_cache : sig
-  type t = Kernel.Cache.t
-
-  val create : ?max_entries:int -> unit -> t
-  (** FIFO-bounded at [max_entries] (default 4096) resident tables. *)
-
-  val hits : t -> int
-  (** LUT nodes whose matrix was found already compiled. *)
-
-  val misses : t -> int
-  (** Distinct truth tables actually compiled. *)
-
-  val evictions : t -> int
-  val length : t -> int
-end
-
 val simulate_klut :
   ?domains:int ->
-  ?cache:Compile_cache.t ->
+  ?cache:Kernel.Cache.t ->
   Klut.Network.t ->
   Patterns.t ->
   Signature.table
-(** Mode [a]: all nodes, topological order, one matrix pass per node. *)
+(** Mode [a]: all nodes, topological order, one matrix pass per node.
+    The narrow-LUT cascades are memoized by truth table in [cache]
+    (default {!Kernel.Cache.shared}, the process-wide instance); pass
+    your own to isolate or to observe hit/miss counts. *)
 
 val simulate_aig : ?domains:int -> Aig.Network.t -> Patterns.t -> Signature.table
 (** AIG simulation through 2-input structural matrices. Word-parallel like

@@ -89,9 +89,13 @@ let process st (req : Proto.request) =
         | Some p, Some l -> Obs.Pool.release p l
         | _ -> ())
       (fun () ->
+        let budget =
+          match lease with
+          | Some l -> Obs.Pool.budget l
+          | None -> Obs.Budget.create ?timeout:wall_cap ()
+        in
         let ctx =
-          Pass.create_ctx ?timeout:wall_cap
-            ?budget:(Option.map Obs.Pool.budget lease)
+          Pass.create_ctx ~budget
             ~verify:req.req_verify ~certify:req.req_certify
             ?cache:(Option.map Cache.ops cfg.cache)
             ~cache_paranoid:cfg.paranoid ~echo:ignore net

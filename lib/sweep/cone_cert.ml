@@ -89,21 +89,21 @@ let solve ?(conflict_limits = []) ?deadline ~certify pc =
          match checker with Some ck -> Drup.feed ck step | None -> ()));
   let env, sl = encode pc solver in
   let assumptions = [ sl ] in
+  let solve conflict_limit =
+    Solver.solve ?conflict_limit ?deadline ~assumptions solver
+  in
+  (* Every listed limit is passed as given (the pool does the same), so
+     a limit of 0 gives up at the first conflict here too; only the
+     empty schedule means one unbudgeted call. *)
   let rec run retries = function
-    | [] -> (Solver.Unknown, retries)
-    | [ limit ] ->
-      let r =
-        if limit <= 0 then Solver.solve ?deadline ~assumptions solver
-        else Solver.solve ~conflict_limit:limit ?deadline ~assumptions solver
-      in
-      (r, retries)
+    | [] -> (solve None, retries)
+    | [ limit ] -> (solve (Some limit), retries)
     | limit :: rest -> (
-      match Solver.solve ~conflict_limit:limit ?deadline ~assumptions solver with
+      match solve (Some limit) with
       | Solver.Unknown -> run (retries + 1) rest
       | r -> (r, retries))
   in
-  let schedule = if conflict_limits = [] then [ 0 ] else conflict_limits in
-  let result, retries = run 0 schedule in
+  let result, retries = run 0 conflict_limits in
   let cert () = List.rev !learns in
   let outcome =
     match result with

@@ -42,13 +42,11 @@ type config = {
   sim_domains : int;
   par_threshold : int;
   sat_domains : int;
-  deadline : float option;
   budget : Obs.Budget.t option;
-  (* An externally owned budget (a pipeline's, or an Obs.Pool lease's)
-     the sweep runs under instead of creating its own from [deadline].
-     Shared and sticky: SAT work is charged to it, so conflict and
-     propagation caps hold across passes and pool accounting sees the
-     sweep's real consumption. *)
+  (* The budget the sweep runs under ([None] = unlimited): a caller's
+     own, a pipeline's, or an Obs.Pool lease's. Shared and sticky: SAT
+     work is charged to it, so conflict and propagation caps hold across
+     passes and pool accounting sees the sweep's real consumption. *)
   verify : bool;
   certify : bool;
   cache : cache_ops option;
@@ -70,7 +68,6 @@ let fraig_config =
     sim_domains = 1;
     par_threshold = 2048;
     sat_domains = 1;
-    deadline = None;
     budget = None;
     verify = false;
     certify = false;
@@ -919,12 +916,7 @@ let run ?(config = stp_config) old_net =
       ~num_patterns:(32 * max 1 config.initial_words)
   in
   let budget =
-    match config.budget with
-    | Some b -> b (* externally owned: shared caps, shared stickiness *)
-    | None -> (
-      match config.deadline with
-      | Some d -> Obs.Budget.create ~deadline:d ()
-      | None -> Obs.Budget.unlimited ())
+    match config.budget with Some b -> b | None -> Obs.Budget.unlimited ()
   in
   if config.guided_init then begin
     let t0 = Obs.Clock.now () in

@@ -12,8 +12,14 @@
     engine under different configurations: the STP configuration adds
     SAT-guided initial patterns and the exhaustive <=16-leaf window
     refinement in front of the solver; the baseline relies on random
-    initial patterns and counter-example resimulation alone. This also
-    gives the ablation benches a single knob set to sweep. *)
+    initial patterns and counter-example resimulation alone.
+
+    {!config} is the one way to configure a sweep: {!Stp_sweep.sweep}
+    and {!Fraig.sweep} take a whole record (defaulting to {!stp_config}
+    and {!fraig_config}), and every caller — the pass manager, the CLIs,
+    the daemon, the ablation benches — adjusts one of the two presets by
+    functional update, e.g.
+    [{ stp_config with conflict_limit = Some 100; certify = true }]. *)
 
 exception Verification_failed of string
 (** Raised by {!run} when [config.verify] is set and the swept network
@@ -78,28 +84,28 @@ type config = {
           spawns nothing. While every query is answered (no conflict
           limit, no budget cut) the swept network is the same for every
           pool size. See DESIGN.md "Parallel dispatch". *)
-  deadline : float option;
-      (** absolute {!Obs.Clock} deadline for the whole sweep. Once it
-          passes, the engine stops issuing SAT queries, finishes the
+  budget : Obs.Budget.t option;
+      (** the budget the sweep runs under; [None] = unlimited. A
+          standalone call builds one ([Some (Obs.Budget.create ~timeout
+          ())]); a pipeline hands over its shared budget, a daemon an
+          {!Obs.Pool} lease's. Once its deadline passes or a cap is
+          reached, the engine stops issuing SAT queries, finishes the
           in-flight merge atomically, translates the remaining nodes
           structurally, and records the event in
-          [Stats.budget_exhausted]. The result is still functionally
-          equivalent to the input — it just keeps more redundancy. *)
-  budget : Obs.Budget.t option;
-      (** an externally owned budget the sweep runs under instead of
-          building one from [deadline] — a pipeline's shared budget or
-          an {!Obs.Pool} lease's. The engine charges every SAT query's
-          conflicts/propagations to it ({!Obs.Budget.charge}), so caps
-          hold across passes and across the dispatch pool's domains, and
-          a pool can reclaim unspent allowance at release; exhaustion
-          degrades exactly as under [deadline]. Overshoot past a
-          conflict/propagation cap is bounded by one query's conflict
-          limit (charges are per-query). *)
+          [Stats.budget_exhausted]; the result is still functionally
+          equivalent to the input — it just keeps more redundancy. The
+          engine charges every SAT query's conflicts/propagations to it
+          ({!Obs.Budget.charge}), so caps hold across passes and across
+          the dispatch pool's domains, and a pool can reclaim unspent
+          allowance at release. Overshoot past a conflict/propagation
+          cap is bounded by one query's conflict limit (charges are
+          per-query). *)
   verify : bool;
       (** post-sweep self-check: cross-simulate input and result on
           fresh random patterns and raise {!Verification_failed} on any
-          PO mismatch. Cheap relative to a sweep; the full SAT-backed
-          check is {!Selfcheck.run}. *)
+          PO mismatch. Cheap relative to a sweep; {!Selfcheck.run} (and
+          so both sweepers) adds the full SAT-backed CEC when it is
+          set. *)
   certify : bool;
       (** certified mode: a {!Sat.Drup} checker replays the solver's
           proof stream, UNSAT-driven merges are accepted only after

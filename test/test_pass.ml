@@ -63,6 +63,9 @@ let test_parse_errors () =
   expect_error "rewrite -k four" "col 9: expected an integer";
   expect_error "sweep --sat-domains 0" "col 7: sat-domains must be at least 1";
   expect_error "sweep -e fraig --sat-domains -2" "col 16: sat-domains";
+  expect_error "sweep --conflict-limit 0" "col 7: conflict-limit must be at least 1";
+  expect_error "sweep --retry-schedule 100,-1"
+    "col 7: retry-schedule must be at least 1, got -1";
   expect_error "sweep; balance;" "col 15: dangling ';'";
   expect_error ";sweep" "col 1: empty command";
   expect_error "" "empty script";
@@ -113,7 +116,9 @@ let prop_random_script_equivalent (seed, picks) =
 
 let test_budget_mid_script () =
   let net = redundant_net 11L in
-  let ctx = Pass.create_ctx ~timeout:0.05 ~echo:quiet net in
+  let ctx =
+    Pass.create_ctx ~budget:(Obs.Budget.create ~timeout:0.05 ()) ~echo:quiet net
+  in
   (* A pass that burns past the deadline: everything after it must be
      skipped — except verify, which judges the degraded pipeline. *)
   let burn =
@@ -168,7 +173,31 @@ let test_matches_direct_calls () =
   let rewritten, _ = Synth.Rewrite.rewrite swept in
   let balanced, _ = Aig.Balance.balance rewritten in
   check_str "same network as the hardcoded flow" (Aig.Aiger.write balanced)
-    (Aig.Aiger.write final)
+    (Aig.Aiger.write final);
+  (* The sweep flags map onto the engine preset. On b18 each flag
+     changes the result (no limit, or a limit without the retry, sweep
+     to different sizes), so a dropped flag shows up as other bytes. *)
+  let b18 = Gen.Suites.hwmcc_by_name "b18" in
+  let ctx = Pass.create_ctx ~echo:quiet b18 in
+  let final, _ =
+    Pass.run_pipeline ctx
+      (Script.compile "sweep -e fraig --conflict-limit 1 --retry-schedule 2")
+      b18
+  in
+  let swept, _ =
+    Sweep.Fraig.sweep
+      ~config:
+        {
+          Sweep.Engine.fraig_config with
+          conflict_limit = Some 1;
+          retry_schedule = [ 2 ];
+        }
+      b18
+  in
+  check_int "flags map onto the engine config (size)" (Aig.Network.num_ands swept)
+    (Aig.Network.num_ands final);
+  check "flags map onto the engine config (bytes)" true
+    (Aig.Aiger.write swept = Aig.Aiger.write final)
 
 (* ---- verify checkpointing and reports ---- *)
 

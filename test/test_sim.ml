@@ -286,108 +286,38 @@ let test_circuit_cut_respects_limit () =
         (K.max_fanin cut_net <= max limit (K.max_fanin net)))
     [ 2; 3; 4; 8 ]
 
-(* ---- windows ---- *)
-
-let test_window_exact_equivalence () =
-  let net = A.create () in
-  let a = A.add_pi net and b = A.add_pi net and c = A.add_pi net in
-  let x1 = A.add_xor net a b in
-  (* A NAND-style duplicate of the same xor. *)
-  let n1 = L.not_ (A.add_and net a b) in
-  let n2 = L.not_ (A.add_and net a n1) in
-  let n3 = L.not_ (A.add_and net b n1) in
-  let x2 = L.not_ (A.add_and net n2 n3) in
-  let other = A.add_and net a c in
-  ignore (A.add_po net x1);
-  ignore (A.add_po net x2);
-  ignore (A.add_po net other);
-  check "equal impls" true
-    (Sim.Window.equivalent_in_window net (L.node x1) (L.node x2)
-       ~max_leaves:16
-     = (if L.is_compl x1 = L.is_compl x2 then `Equal else `Compl));
-  check "different" true
-    (Sim.Window.equivalent_in_window net (L.node x1) (L.node other)
-       ~max_leaves:16
-     = `Different)
-
-let test_window_too_wide () =
-  let net = A.create () in
-  let pis = Array.init 20 (fun _ -> A.add_pi net) in
-  let acc = ref pis.(0) in
-  Array.iteri (fun i p -> if i > 0 then acc := A.add_and net !acc p) pis;
-  ignore (A.add_po net !acc);
-  check "unknown" true
-    (Sim.Window.equivalent_in_window net (L.node !acc) (L.node pis.(0))
-       ~max_leaves:16
-     = `Unknown)
-
-let test_window_tts () =
-  let net = A.create () in
-  let a = A.add_pi net and b = A.add_pi net in
-  let g = A.add_and net a (L.not_ b) in
-  ignore (A.add_po net g);
-  match Sim.Window.signatures net ~targets:[ L.node g ] ~max_leaves:4 with
-  | Some ([ la; lb ], [| tt |]) ->
-    check "leaves are the PIs" true (la = L.node a && lb = L.node b);
-    check "tt" true (T.equal tt (T.and_ (T.nth_var 2 0) (T.not_ (T.nth_var 2 1))))
-  | _ -> Alcotest.fail "expected a 2-leaf window"
-
-let test_window_lift_consistency () =
-  (* The sweeping engine compares nodes by lifting per-node window
-     tables onto a joint support. Validate that mechanism against the
-     direct joint-window computation. *)
-  let module T = Tt.Truth_table in
-  let rng = Rng.create 83L in
-  for _ = 1 to 15 do
-    let net = random_aig rng ~pis:6 ~gates:40 ~pos:3 in
-    (* Pick two AND nodes. *)
-    let ands = ref [] in
-    A.iter_ands net (fun n -> ands := n :: !ands);
-    match !ands with
-    | a :: b :: _ -> (
-      match Sim.Window.signatures net ~targets:[ a; b ] ~max_leaves:16 with
-      | None -> ()
-      | Some (joint, [| ta; tb |]) -> (
-        (* Individual windows lifted onto the joint support. *)
-        let lift node =
-          match Sim.Window.signatures net ~targets:[ node ] ~max_leaves:16 with
-          | Some (own, [| tt |]) ->
-            let joint_arr = Array.of_list joint in
-            let positions =
-              Array.of_list
-                (List.map
-                   (fun leaf ->
-                     let rec find i =
-                       if joint_arr.(i) = leaf then i else find (i + 1)
-                     in
-                     find 0)
-                   own)
-            in
-            T.remap tt ~positions ~arity:(List.length joint)
-          | _ -> Alcotest.fail "individual window missing"
-        in
-        if not (T.equal (lift a) ta && T.equal (lift b) tb) then
-          Alcotest.fail "lifted window disagrees with joint window")
-      | Some _ -> Alcotest.fail "arity")
-    | _ -> ()
-  done
-
 (* ---- incremental simulation ---- *)
+
+(* What the sweep engine does after a counter-example batch: keep the
+   compiled plan and its table, grow the rows to the new word count, and
+   re-run the plan over only the words from the one holding the first
+   new pattern (its old tail bits were masked off and are now live). *)
+let tail_refresh plan pats tbl ~covered =
+  let nw = P.num_words pats in
+  let tbl =
+    Array.map
+      (fun row -> Array.init nw (fun w -> if w < Array.length row then row.(w) else 0))
+      tbl
+  in
+  Sim.Kernel.run plan pats tbl ~inst_lo:0
+    ~inst_hi:(Sim.Kernel.num_instructions plan)
+    ~lo:(covered lsr 5) ~hi:nw;
+  Array.iter (Sg.num_patterns_mask (P.num_patterns pats)) tbl;
+  tbl
 
 let test_incremental_matches_full () =
   let rng = Rng.create 71L in
   for _ = 1 to 8 do
     let net = random_aig rng ~pis:6 ~gates:40 ~pos:3 in
     let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:6 ~num_patterns:50 in
-    let inc = Sim.Incremental.create net pats in
+    let plan = Sim.Kernel.compile_aig net in
+    let tbl = Sim.Kernel.execute plan pats in
     (* Append a bunch of patterns one at a time. *)
     for _ = 1 to 45 do
-      Sim.Incremental.add_pattern inc
-        (Array.init 6 (fun _ -> Rng.bool rng))
+      P.add_pattern pats (Array.init 6 (fun _ -> Rng.bool rng))
     done;
-    Sim.Incremental.refresh inc;
+    let got = tail_refresh plan pats tbl ~covered:50 in
     let full = Sim.Bitwise.simulate_aig net pats in
-    let got = Sim.Incremental.signatures inc in
     A.iter_nodes net (fun nd ->
         if got.(nd) <> full.(nd) then
           Alcotest.failf "incremental differs at node %d" nd)
@@ -397,52 +327,23 @@ let test_incremental_is_incremental () =
   let rng = Rng.create 73L in
   let net = random_aig rng ~pis:6 ~gates:60 ~pos:3 in
   let pats = P.random ~seed:5L ~num_pis:6 ~num_patterns:320 in
-  let inc = Sim.Incremental.create net pats in
-  check_int "nothing recomputed yet" 0 (Sim.Incremental.words_recomputed inc);
-  (* 32 appended patterns live in at most 2 words. *)
+  let plan = Sim.Kernel.compile_aig net in
+  let tbl = Sim.Kernel.execute plan pats in
+  (* 32 appended patterns after 10 full words land in word 10 alone.
+     Poison the covered words: a tail refresh that touched them would
+     either overwrite the poison or read it into the tail. *)
   for _ = 1 to 32 do
-    Sim.Incremental.add_pattern inc (Array.make 6 true)
+    P.add_pattern pats (Array.make 6 true)
   done;
-  Sim.Incremental.refresh inc;
-  let per_word = A.num_nodes net in
-  check "at most two words per node" true
-    (Sim.Incremental.words_recomputed inc <= 2 * per_word);
-  check_int "patterns counted" 352 (Sim.Incremental.num_patterns inc)
-
-(* ---- activity ---- *)
-
-let test_activity () =
-  let module Act = Sim.Activity in
-  (* Brute-force cross-check on random signatures. *)
-  let rng = Rng.create 101L in
-  for _ = 1 to 30 do
-    let np = 1 + Rng.int rng 100 in
-    let nw = (np + 31) / 32 in
-    let s = Array.init nw (fun _ -> Rng.bits32 rng) in
-    Sg.num_patterns_mask np s;
-    let stats = Act.of_signature ~num_patterns:np s in
-    let bits = List.init np (fun i -> Sg.get s i) in
-    let ones = List.length (List.filter Fun.id bits) in
-    let toggles =
-      let rec go = function
-        | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + go rest
-        | _ -> 0
-      in
-      go bits
-    in
-    if stats.Act.ones <> ones then
-      Alcotest.failf "ones: got %d want %d (np=%d)" stats.Act.ones ones np;
-    if stats.Act.toggles <> toggles then
-      Alcotest.failf "toggles: got %d want %d (np=%d)" stats.Act.toggles toggles np
-  done;
-  (* Metrics. *)
-  let alt = Act.of_signature ~num_patterns:8 [| 0b01010101 |] in
-  check "toggle rate 1" true (Act.toggle_rate alt = 1.);
-  check "bias half" true (Act.bias alt = 0.5);
-  check "not constant" false (Act.is_constant alt);
-  let const = Act.of_signature ~num_patterns:8 [| 0 |] in
-  check "constant" true (Act.is_constant const);
-  check "near constant" true (Act.near_constant const)
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0x5A5A5A5A) tbl;
+  let got = tail_refresh plan pats tbl ~covered:320 in
+  let full = Sim.Bitwise.simulate_aig net pats in
+  check_int "patterns counted" 352 (P.num_patterns pats);
+  A.iter_nodes net (fun nd ->
+      if Array.sub got.(nd) 0 10 <> Array.make 10 0x5A5A5A5A then
+        Alcotest.failf "covered word recomputed at node %d" nd;
+      if got.(nd).(10) <> full.(nd).(10) then
+        Alcotest.failf "tail word differs at node %d" nd)
 
 (* ---- parallel (domain-sharded) simulation ---- *)
 
@@ -524,7 +425,7 @@ let test_pool_spawn_failure () =
   Alcotest.(check (array int)) "both domains ran" [| 1; 2 |] slots
 
 let test_compile_cache () =
-  let module SS = Sim.Stp_sim in
+  let module C = Sim.Kernel.Cache in
   let net = K.create () in
   let pis = Array.init 4 (fun _ -> K.add_pi net) in
   let nand = T.of_bin "0111" in
@@ -537,14 +438,14 @@ let test_compile_cache () =
   let e = K.add_lut net [| c; d |] xor2 in
   ignore (K.add_po net e false);
   let pats = P.random ~seed:9L ~num_pis:4 ~num_patterns:77 in
-  let cache = SS.Compile_cache.create () in
-  let t1 = SS.simulate_klut ~cache net pats in
-  check_int "misses = distinct functions" 2 (SS.Compile_cache.misses cache);
-  check_int "hits = shared functions" 3 (SS.Compile_cache.hits cache);
+  let cache = C.create () in
+  let t1 = Sim.Stp_sim.simulate_klut ~cache net pats in
+  check_int "misses = distinct functions" 2 (C.misses cache);
+  check_int "hits = shared functions" 3 (C.hits cache);
   (* Re-simulating with the same cache recompiles nothing. *)
-  let t2 = SS.simulate_klut ~cache net pats in
-  check_int "second pass misses" 2 (SS.Compile_cache.misses cache);
-  check_int "second pass hits" 8 (SS.Compile_cache.hits cache);
+  let t2 = Sim.Stp_sim.simulate_klut ~cache net pats in
+  check_int "second pass misses" 2 (C.misses cache);
+  check_int "second pass hits" 8 (C.hits cache);
   check "cached result identical" true (t1 = t2);
   check "matches bitwise" true (t1 = Sim.Bitwise.simulate_klut net pats)
 
@@ -641,8 +542,8 @@ let prop_plan_patch (seed, domains, np) =
   let scratch = Sim.Kernel.execute ~domains (Sim.Kernel.compile_aig net) pats in
   Sim.Kernel.num_instructions plan = n && ext = scratch
 
-(* Random interleavings of pattern appends and refreshes: after every
-   refresh the incremental table equals a from-scratch simulation. *)
+(* Random interleavings of pattern appends and tail refreshes: after
+   every refresh the patched table equals a from-scratch simulation. *)
 let arb_incremental_case =
   QCheck.make
     ~print:(fun (s, steps) ->
@@ -657,14 +558,16 @@ let prop_incremental_sequences (seed, steps) =
   let rng = Rng.create seed in
   let net = random_aig rng ~pis:5 ~gates:40 ~pos:2 in
   let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:5 ~num_patterns:33 in
-  let inc = Sim.Incremental.create net pats in
+  let plan = Sim.Kernel.compile_aig net in
+  let tbl = ref (Sim.Kernel.execute plan pats) in
   List.for_all
     (fun appends ->
+      let covered = P.num_patterns pats in
       for _ = 1 to appends do
-        Sim.Incremental.add_pattern inc (Array.init 5 (fun _ -> Rng.bool rng))
+        P.add_pattern pats (Array.init 5 (fun _ -> Rng.bool rng))
       done;
-      Sim.Incremental.refresh inc;
-      Sim.Incremental.signatures inc = Sim.Bitwise.simulate_aig net pats)
+      tbl := tail_refresh plan pats !tbl ~covered;
+      !tbl = Sim.Bitwise.simulate_aig net pats)
     steps
 
 let test_kernel_cache_bound () =
@@ -775,15 +678,6 @@ let () =
           Alcotest.test_case "limit respected" `Quick
             test_circuit_cut_respects_limit;
         ] );
-      ( "window",
-        [
-          Alcotest.test_case "exact equivalence" `Quick
-            test_window_exact_equivalence;
-          Alcotest.test_case "too wide" `Quick test_window_too_wide;
-          Alcotest.test_case "truth tables" `Quick test_window_tts;
-          Alcotest.test_case "lift consistency" `Quick
-            test_window_lift_consistency;
-        ] );
       ( "incremental",
         [
           Alcotest.test_case "matches full simulation" `Quick
@@ -815,7 +709,6 @@ let () =
             arb_incremental_case prop_incremental_sequences;
           Alcotest.test_case "cache bound" `Quick test_kernel_cache_bound;
         ] );
-      ("activity", [ Alcotest.test_case "stats" `Quick test_activity ]);
       ( "signature",
         [
           Alcotest.test_case "helpers" `Quick test_signature_helpers;

@@ -12,6 +12,10 @@ module Sg = Sim.Signature
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let stp_config = Sweep.Engine.stp_config
+let fraig_config = Sweep.Engine.fraig_config
+let budget ?deadline ?timeout () = Some (Obs.Budget.create ?deadline ?timeout ())
+
 let eval net inputs =
   let v = Array.make (A.num_nodes net) false in
   A.iter_nodes net (fun nd ->
@@ -384,6 +388,60 @@ let test_parallel_sweep_identical () =
     check "function preserved" true (exhaustive_equal net par)
   done
 
+(* ---- exhaustive windows ---- *)
+
+let test_window_exact_equivalence () =
+  (* An XOR and its NAND-built twin over two PIs, next to an unrelated
+     AND: the STP engine's exhaustive window proves the twins equal
+     without the solver, where the baseline needs one UNSAT query; the
+     unrelated AND merges with neither. *)
+  let net = A.create () in
+  let a = A.add_pi net and b = A.add_pi net and c = A.add_pi net in
+  let x1 = A.add_xor net a b in
+  let n1 = L.not_ (A.add_and net a b) in
+  let n2 = L.not_ (A.add_and net a n1) in
+  let n3 = L.not_ (A.add_and net b n1) in
+  let x2 = L.not_ (A.add_and net n2 n3) in
+  let other = A.add_and net a c in
+  List.iter (fun l -> ignore (A.add_po net l)) [ x1; x2; other ];
+  let swept_s, st_s = Sweep.Stp_sweep.sweep net in
+  let swept_f, st_f = Sweep.Fraig.sweep net in
+  check "stp preserves the function" true (exhaustive_equal net swept_s);
+  check "fraig preserves the function" true (exhaustive_equal net swept_f);
+  check_int "stp: one window merge" 1 st_s.Sweep.Stats.window_merges;
+  check_int "stp: no SAT call" 0 (Sweep.Stats.total_sat_calls st_s);
+  check_int "fraig: one UNSAT" 1 st_f.Sweep.Stats.sat_unsat;
+  List.iter
+    (fun (label, swept) ->
+      check (label ^ ": twins share a literal") true (A.po swept 0 = A.po swept 1);
+      check (label ^ ": the AND stays apart") true (A.po swept 2 <> A.po swept 0))
+    [ ("stp", swept_s); ("fraig", swept_f) ]
+
+let test_window_too_wide () =
+  (* A 20-PI AND chain and a balanced-tree duplicate. Every tree node
+     below the top covers at most 16 PIs, so prefixes merge by window;
+     the top pair spans 20 PIs — wider than any window — and only the
+     solver can prove it. *)
+  let pis = 20 in
+  let net = A.create () in
+  let ins = Array.init pis (fun _ -> A.add_pi net) in
+  let chain = Array.fold_left (fun acc p -> A.add_and net acc p) L.true_ ins in
+  let rec tree lo hi =
+    if lo = hi then ins.(lo)
+    else
+      let mid = (lo + hi) / 2 in
+      A.add_and net (tree lo mid) (tree (mid + 1) hi)
+  in
+  let dup = tree 0 (pis - 1) in
+  ignore (A.add_po net chain);
+  ignore (A.add_po net dup);
+  let swept, st = Sweep.Stp_sweep.sweep net in
+  (match Sweep.Cec.check net swept with
+  | Sweep.Cec.Equivalent -> ()
+  | _ -> Alcotest.fail "sweep not CEC-equivalent");
+  check "duplicate merged" true (A.po swept 0 = A.po swept 1);
+  check "the top merge needed SAT" true (st.Sweep.Stats.sat_unsat >= 1)
+
 (* ---- compare-budget charging (regression) ---- *)
 
 let test_max_compares_charges_window_splits () =
@@ -570,7 +628,9 @@ let test_dispatch_budget_degrades () =
   let base = random_network rng ~pis:10 ~gates:8000 ~pos:8 in
   let net = Gen.Redundant.inject ~seed:13L ~fraction:0.3 base in
   let swept, st =
-    Sweep.Stp_sweep.sweep ~timeout:0.01 ~sat_domains:2 net
+    Sweep.Stp_sweep.sweep
+      ~config:{ stp_config with budget = budget ~timeout:0.01 (); sat_domains = 2 }
+      net
   in
   (match st.Sweep.Stats.budget_exhausted with
   | Some _ -> ()
@@ -582,8 +642,13 @@ let test_dispatch_budget_degrades () =
   (* And an already-expired deadline, which every worker sees sticky. *)
   let swept0, st0 =
     Sweep.Stp_sweep.sweep
-      ~deadline:(Obs.Clock.now () -. 1.)
-      ~sat_domains:2 net
+      ~config:
+        {
+          stp_config with
+          budget = budget ~deadline:(Obs.Clock.now () -. 1.) ();
+          sat_domains = 2;
+        }
+      net
   in
   check "expired deadline preserved the function" true
     (exhaustive_equal net swept0);
@@ -600,7 +665,9 @@ let test_dispatch_hwmcc_bytes () =
   List.iter
     (fun name ->
       let net = Gen.Suites.hwmcc_by_name name in
-      let sweep d = fst (Sweep.Stp_sweep.sweep ~sat_domains:d net) in
+      let sweep d =
+        fst (Sweep.Stp_sweep.sweep ~config:{ stp_config with sat_domains = d } net)
+      in
       let r1 = sweep 1 in
       let text1 = Aig.Aiger.write r1 in
       List.iter
@@ -654,7 +721,9 @@ let test_deadline_degrades () =
   let base = random_network rng ~pis:8 ~gates:300 ~pos:5 in
   let net = Gen.Redundant.inject ~seed:4L ~fraction:0.4 base in
   let swept, st =
-    Sweep.Stp_sweep.sweep ~deadline:(Obs.Clock.now () -. 1.) net
+    Sweep.Stp_sweep.sweep
+      ~config:{ stp_config with budget = budget ~deadline:(Obs.Clock.now () -. 1.) () }
+      net
   in
   check "function preserved" true (exhaustive_equal net swept);
   (match Sweep.Cec.check net swept with
@@ -682,7 +751,11 @@ let test_timeout_partial () =
   let rng = Rng.create 31337L in
   let base = random_network rng ~pis:10 ~gates:8000 ~pos:8 in
   let net = Gen.Redundant.inject ~seed:13L ~fraction:0.3 base in
-  let swept, st = Sweep.Stp_sweep.sweep ~timeout:0.01 net in
+  let swept, st =
+    Sweep.Stp_sweep.sweep
+      ~config:{ stp_config with budget = budget ~timeout:0.01 () }
+      net
+  in
   (match st.Sweep.Stats.budget_exhausted with
    | Some _ -> ()
    | None -> Alcotest.fail "expected the budget to run out");
@@ -697,9 +770,12 @@ let test_retry_schedule () =
   let rng = Rng.create 1618L in
   let base = random_network rng ~pis:8 ~gates:120 ~pos:6 in
   let net = Gen.Redundant.inject ~seed:9L ~fraction:0.5 base in
-  let _, st0 = Sweep.Stp_sweep.sweep ~conflict_limit:1 net in
+  let starved = { stp_config with conflict_limit = Some 1 } in
+  let _, st0 = Sweep.Stp_sweep.sweep ~config:starved net in
   let swept, st =
-    Sweep.Stp_sweep.sweep ~conflict_limit:1 ~retry_schedule:[ 100; 100_000 ] net
+    Sweep.Stp_sweep.sweep
+      ~config:{ starved with retry_schedule = [ 100; 100_000 ] }
+      net
   in
   check "function preserved" true (exhaustive_equal net swept);
   check "no retries without a schedule" true (st0.Sweep.Stats.sat_retries = 0);
@@ -714,7 +790,9 @@ let test_self_verify () =
   let rng = Rng.create 123321L in
   let base = random_network rng ~pis:7 ~gates:60 ~pos:4 in
   let net = Gen.Redundant.inject ~seed:2L ~fraction:0.5 base in
-  let swept, _ = Sweep.Stp_sweep.sweep ~verify:true net in
+  let swept, _ =
+    Sweep.Stp_sweep.sweep ~config:{ stp_config with verify = true } net
+  in
   check "verified sweep not larger" true (A.num_ands swept <= A.num_ands net);
   check "function preserved" true (exhaustive_equal net swept)
 
@@ -755,8 +833,12 @@ let test_fault_matrix () =
             | Sweep.Cec.Equivalent -> ()
             | _ -> Alcotest.failf "%s/%s seed %d: CEC failed" site_name engine seed)
           [
-            ("fraig", fun n -> Sweep.Fraig.sweep ~initial_words:1 n);
-            ("stp", fun n -> Sweep.Stp_sweep.sweep ~initial_words:1 n);
+            ( "fraig",
+              Sweep.Fraig.sweep ~config:{ fraig_config with initial_words = 1 }
+            );
+            ( "stp",
+              Sweep.Stp_sweep.sweep ~config:{ stp_config with initial_words = 1 }
+            );
           ]
       done;
       if !fired = 0 then
@@ -794,8 +876,12 @@ let test_certified_sweep () =
           | _ -> Alcotest.failf "%s: %s missing from the JSON report" label k)
         [ "certified_unsat"; "certified_models"; "certificate_rejected" ])
     [
-      ("fraig", fun n -> Sweep.Fraig.sweep ~certify:true ~initial_words:1 n);
-      ("stp", fun n -> Sweep.Stp_sweep.sweep ~certify:true ~initial_words:1 n);
+      ( "fraig",
+        Sweep.Fraig.sweep
+          ~config:{ fraig_config with certify = true; initial_words = 1 } );
+      ( "stp",
+        Sweep.Stp_sweep.sweep
+          ~config:{ stp_config with certify = true; initial_words = 1 } );
     ]
 
 let test_lying_solver_matrix () =
@@ -834,13 +920,23 @@ let test_lying_solver_matrix () =
               Alcotest.failf "%s/%s seed %d: CEC failed" site_name engine seed)
           [
             ( "fraig",
-              fun n ->
-                Sweep.Fraig.sweep ~certify:true ~verify:true ~initial_words:1 n
-            );
+              Sweep.Fraig.sweep
+                ~config:
+                  {
+                    fraig_config with
+                    certify = true;
+                    verify = true;
+                    initial_words = 1;
+                  } );
             ( "stp",
-              fun n ->
-                Sweep.Stp_sweep.sweep ~certify:true ~verify:true
-                  ~initial_words:1 n );
+              Sweep.Stp_sweep.sweep
+                ~config:
+                  {
+                    stp_config with
+                    certify = true;
+                    verify = true;
+                    initial_words = 1;
+                  } );
           ]
       done;
       if !fired = 0 then
@@ -914,6 +1010,18 @@ let iter_cache_files dir f =
           (Sys.readdir p))
     (Sys.readdir dir)
 
+(* The cache tests' sweep: one initial word and 4-leaf windows leave
+   plenty of pairs for the solver, and so for the cache. *)
+let cache_config ?(certify = false) ?(cache_paranoid = false) c =
+  {
+    stp_config with
+    initial_words = 1;
+    window_max_leaves = 4;
+    certify;
+    cache = Some (Svc.Cache.ops c);
+    cache_paranoid;
+  }
+
 let cache_sat_calls st =
   st.Sweep.Stats.sat_sat + st.Sweep.Stats.sat_unsat + st.Sweep.Stats.sat_undet
 
@@ -928,10 +1036,7 @@ let test_cache_cold_warm () =
       let base = random_network rng ~pis:8 ~gates:150 ~pos:5 in
       let net = Gen.Redundant.inject ~seed:(Rng.int64 rng) ~fraction:0.5 base in
       let c = Svc.Cache.open_ dir in
-      let sweep () =
-        Sweep.Stp_sweep.sweep ~initial_words:1 ~window_max_leaves:4 ~certify
-          ~cache:(Svc.Cache.ops c) net
-      in
+      let sweep () = Sweep.Stp_sweep.sweep ~config:(cache_config ~certify c) net in
       let cold, stc = sweep () in
       let warm, stw = sweep () in
       check (label ^ ": cold function preserved") true
@@ -953,6 +1058,26 @@ let test_cache_cold_warm () =
       check_int (label ^ ": nothing rejected") 0 stw.Sweep.Stats.cache_rejected)
     [ ("plain", false); ("certified", true) ]
 
+let test_cache_conflict_limit_zero () =
+  (* A conflict limit of 0 is a limit, cached or not: the solver pool
+     gives up at the first conflict, and so must the cache path's
+     throwaway solver — not treat 0 as "unlimited" and prove pairs the
+     uncached sweep leaves undetermined. *)
+  let net = Gen.Suites.hwmcc_by_name "b18" in
+  let config = { stp_config with conflict_limit = Some 0 } in
+  let plain, _ = Sweep.Stp_sweep.sweep ~config net in
+  with_cache_dir @@ fun dir ->
+  let c = Svc.Cache.open_ dir in
+  let cached, _ =
+    Sweep.Stp_sweep.sweep
+      ~config:{ config with cache = Some (Svc.Cache.ops c) }
+      net
+  in
+  check_int "cached sweep keeps the uncached size" (A.num_ands plain)
+    (A.num_ands cached);
+  check "cached sweep writes the uncached bytes" true
+    (Aig.Aiger.write plain = Aig.Aiger.write cached)
+
 let test_cache_fault_matrix () =
   (* Corrupt-entry and torn-write faults strike the bytes on the way to
      disk; the next run must quarantine exactly those entries, count
@@ -968,9 +1093,7 @@ let test_cache_fault_matrix () =
       for seed = 1 to 5 do
         with_cache_dir @@ fun dir ->
         let c = Svc.Cache.open_ dir in
-        let sweep () =
-          Sweep.Stp_sweep.sweep ~initial_words:1 ~window_max_leaves:4 ~cache:(Svc.Cache.ops c) net
-        in
+        let sweep () = Sweep.Stp_sweep.sweep ~config:(cache_config c) net in
         let cold, stc =
           with_faults
             (Printf.sprintf "seed=%d,%s:0.5" seed site_name)
@@ -1017,8 +1140,7 @@ let test_cache_paranoid_tamper () =
   let net = Gen.Redundant.inject ~seed:5L ~fraction:0.5 base in
   let c = Svc.Cache.open_ dir in
   let _, stc =
-    Sweep.Stp_sweep.sweep ~initial_words:1 ~window_max_leaves:4 ~certify:true
-      ~cache:(Svc.Cache.ops c) net
+    Sweep.Stp_sweep.sweep ~config:(cache_config ~certify:true c) net
   in
   let forged = ref 0 in
   iter_cache_files dir (fun path ->
@@ -1053,8 +1175,9 @@ let test_cache_paranoid_tamper () =
       | exception Obs.Json.Parse_error _ -> ());
   check "some equivalence entries were forged" true (!forged > 0);
   let warm, stw =
-    Sweep.Stp_sweep.sweep ~initial_words:1 ~window_max_leaves:4 ~certify:true ~cache_paranoid:true
-      ~cache:(Svc.Cache.ops c) net
+    Sweep.Stp_sweep.sweep
+      ~config:(cache_config ~certify:true ~cache_paranoid:true c)
+      net
   in
   check "function preserved despite forged cache" true
     (exhaustive_equal net warm);
@@ -1144,6 +1267,12 @@ let () =
           Alcotest.test_case "guided consts recorded" `Quick
             test_guided_consts_recorded;
         ] );
+      ( "window",
+        [
+          Alcotest.test_case "exact equivalence" `Quick
+            test_window_exact_equivalence;
+          Alcotest.test_case "too wide" `Quick test_window_too_wide;
+        ] );
       ( "dispatch",
         [
           Alcotest.test_case "domain counts agree" `Slow
@@ -1186,5 +1315,7 @@ let () =
             test_cache_paranoid_tamper;
           Alcotest.test_case "crash recovery + hostile keys" `Quick
             test_cache_crash_recovery;
+          Alcotest.test_case "conflict limit 0 is a limit when cached" `Quick
+            test_cache_conflict_limit_zero;
         ] );
     ]
