@@ -33,7 +33,9 @@ type t = {
   mutable nvars : int;
   trail : Vec.t;
   mutable qhead : int;
-  index : (int list, int list) Hashtbl.t; (* sorted lits -> live ids *)
+  mutable index : (int list, int list) Hashtbl.t option;
+      (* sorted lits -> live ids, most recent first; built by the first
+         [delete], so a replay that never deletes never hashes a clause *)
   mutable conflicting : bool;
   mutable checked : int;
   mutable rejected : int;
@@ -53,7 +55,7 @@ let create () =
     nvars = 0;
     trail = Vec.create ();
     qhead = 0;
-    index = Hashtbl.create 64;
+    index = None;
     conflicting = false;
     checked = 0;
     rejected = 0;
@@ -180,6 +182,10 @@ let rec tautology = function
   | a :: (b :: _ as rest) -> a lxor b = 1 || tautology rest
   | _ -> false
 
+let index_add index key id =
+  let prev = Option.value ~default:[] (Hashtbl.find_opt index key) in
+  Hashtbl.replace index key (id :: prev)
+
 (* Store a (sorted, non-tautological) clause and integrate it into the
    root state: conflict, unit propagation, or watches as appropriate. *)
 let add_core t lits =
@@ -192,8 +198,7 @@ let add_core t lits =
   let arr = Array.of_list lits in
   t.clauses.(id) <- { lits = arr; dead = false };
   t.num_clauses <- id + 1;
-  let prev = Option.value ~default:[] (Hashtbl.find_opt t.index lits) in
-  Hashtbl.replace t.index lits (id :: prev);
+  Option.iter (fun index -> index_add index lits id) t.index;
   if not t.conflicting then begin
     (* move non-false literals to the front *)
     let nonfalse = ref 0 in
@@ -283,10 +288,27 @@ let is_root_reason t id c =
     (fun l -> val_lit t l = 1 && t.reason.(var_of l) = id)
     c.lits
 
+(* Propagation permutes stored literal arrays, so the index keys each
+   live clause by its sorted literals; ascending ids leave the most
+   recent duplicate at the head of its list. *)
+let live_index t =
+  match t.index with
+  | Some index -> index
+  | None ->
+    let index = Hashtbl.create (max 64 t.num_clauses) in
+    for id = 0 to t.num_clauses - 1 do
+      let c = t.clauses.(id) in
+      if not c.dead then
+        index_add index (List.sort Int.compare (Array.to_list c.lits)) id
+    done;
+    t.index <- Some index;
+    index
+
 let delete t lits =
   grow_for_lits t lits;
   let key = List.sort_uniq Int.compare lits in
-  match Hashtbl.find_opt t.index key with
+  let index = live_index t in
+  match Hashtbl.find_opt index key with
   | None -> ()
   | Some ids -> (
     let deletable id =
@@ -298,7 +320,7 @@ let delete t lits =
     | Some id ->
       t.clauses.(id).dead <- true;
       t.deleted <- t.deleted + 1;
-      Hashtbl.replace t.index key (List.filter (fun i -> i <> id) ids))
+      Hashtbl.replace index key (List.filter (fun i -> i <> id) ids))
 
 let feed t step =
   match step with

@@ -54,9 +54,13 @@ val add_derived : t -> int list -> (unit, string) result
     feeds every proof line through this. *)
 
 val delete : t -> int list -> unit
-(** Remove a clause (matched as a literal set) from the database. A
-    no-op if the clause is unknown; skipped if the clause is currently
-    the reason of a root-level propagation (soundness). *)
+(** Remove a clause (matched as a literal set) from the database: the
+    most recently added live copy when there are duplicates. A no-op if
+    the clause is unknown; skipped if the clause is currently the
+    reason of a root-level propagation (soundness). The literal-set
+    index this needs is built by the first [delete] and maintained from
+    then on, so a checker that never deletes (a certificate replay)
+    never hashes a clause. *)
 
 val conflicting : t -> bool
 (** The database has been refuted: some addition produced a root-level

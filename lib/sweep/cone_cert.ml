@@ -2,7 +2,8 @@ module A = Aig.Network
 module L = Aig.Lit
 module Solver = Sat.Solver
 module Drup = Sat.Drup
-module Tseitin = Sat.Tseitin
+module Vec = Sutil.Vec
+module IH = Hashtbl.Make (Int)
 
 type t = {
   pc_net : A.t;
@@ -12,59 +13,119 @@ type t = {
   pc_b : L.t;
 }
 
+(* Decimal digits straight into the key buffer, with no [Printf] per
+   AND. Every number in a key is a node count or a literal, so
+   non-negative. *)
+let rec add_int buf n =
+  if n >= 10 then add_int buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
 let extract net a b =
-  let roots = [ L.node a; L.node b ] in
-  let cone = Aig.Cone.tfi net roots in
+  (* Only the cone is walked and allocated, never an array sized by the
+     source network: [map] starts as the visited set of the walk and
+     then holds each cone node's literal in the copy. *)
+  let map = IH.create 64 and cone = Vec.create () in
+  let visit n =
+    if n > 0 && not (IH.mem map n) then begin
+      IH.add map n L.false_;
+      Vec.push cone n
+    end
+  in
+  visit (L.node a);
+  visit (L.node b);
+  (* [cone] doubles as the worklist. *)
+  let i = ref 0 in
+  while !i < Vec.length cone do
+    let n = Vec.get cone !i in
+    incr i;
+    if A.is_and net n then begin
+      visit (L.node (A.fanin0 net n));
+      visit (L.node (A.fanin1 net n))
+    end
+  done;
+  let cone = Vec.to_array cone in
+  Array.sort Int.compare cone;
   (* Source nodes are already strashed, so re-adding a cone in topological
      order folds nothing: the copy is structure-preserving and its node
      numbering is a pure function of the cone's shape. *)
-  let pc_net = A.create () in
-  let map = Array.make (A.num_nodes net) L.false_ in
-  let leaves = ref [] in
-  List.iter
+  let pc_net = A.create ~capacity:(Array.length cone + 1) () in
+  let tr l =
+    if L.node l = 0 then l
+    else L.xor_compl (IH.find map (L.node l)) (L.is_compl l)
+  in
+  let leaves = Vec.create () in
+  Array.iter
     (fun n ->
       match A.kind net n with
       | A.Const -> ()
       | A.Pi i ->
-        map.(n) <- A.add_pi pc_net;
-        leaves := i :: !leaves
+        IH.replace map n (A.add_pi pc_net);
+        Vec.push leaves i
       | A.And ->
-        let tr f = L.xor_compl map.(L.node f) (L.is_compl f) in
-        map.(n) <- A.add_and pc_net (tr (A.fanin0 net n)) (tr (A.fanin1 net n)))
+        IH.replace map n
+          (A.add_and pc_net (tr (A.fanin0 net n)) (tr (A.fanin1 net n))))
     cone;
-  let tr l = L.xor_compl map.(L.node l) (L.is_compl l) in
   let pc_a = tr a and pc_b = tr b in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "v1 pi=%d;" (A.num_pis pc_net));
+  (* "v1 pi=P;" then "f0,f1;" per AND of the copy, then "r=a,b". *)
+  let buf = Buffer.create (32 + (16 * Array.length cone)) in
+  let put n sep =
+    add_int buf n;
+    Buffer.add_char buf sep
+  in
+  Buffer.add_string buf "v1 pi=";
+  put (A.num_pis pc_net) ';';
   A.iter_ands pc_net (fun n ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d;" (A.fanin0 pc_net n) (A.fanin1 pc_net n)));
-  Buffer.add_string buf (Printf.sprintf "r=%d,%d" pc_a pc_b);
+      put (A.fanin0 pc_net n) ',';
+      put (A.fanin1 pc_net n) ';');
+  Buffer.add_string buf "r=";
+  put pc_a ',';
+  add_int buf pc_b;
   {
     pc_net;
     pc_key = Digest.to_hex (Digest.string (Buffer.contents buf));
-    pc_leaves = Array.of_list (List.rev !leaves);
+    pc_leaves = Vec.to_array leaves;
     pc_a;
     pc_b;
   }
 
-(* The encoding below is the deterministic heart of the scheme: both
-   [solve] and [replay] build their clause databases through this one
-   function, so the solver-variable numbering and the input-clause
-   stream are identical on both sides and a recorded certificate means
-   the same thing when replayed in another process. Mirrors
-   [Tseitin.check_equiv]'s miter exactly (m <-> a xor b, s -> m). *)
-let encode pc solver =
-  let env = Tseitin.create pc.pc_net solver in
-  let a = Tseitin.lit_of env pc.pc_a and b = Tseitin.lit_of env pc.pc_b in
-  let m = Solver.lit (Solver.new_var solver) in
-  let sl = Solver.lit (Solver.new_var solver) in
-  Solver.add_clause solver [ Solver.neg m; a; b ];
-  Solver.add_clause solver [ Solver.neg m; Solver.neg a; Solver.neg b ];
-  Solver.add_clause solver [ m; Solver.neg a; b ];
-  Solver.add_clause solver [ m; a; Solver.neg b ];
-  Solver.add_clause solver [ Solver.neg sl; m ];
-  (env, sl)
+(* The canonical CNF, the deterministic heart of the scheme (contract in
+   the .mli). The numbering is the one the lazy Tseitin encoding of the
+   sweepers gives, which v1 certificates on disk were recorded with:
+   fanin0 before fanin1, a node numbered on first visit and its clauses
+   emitted once both fanins are numbered. *)
+let encode pc emit =
+  let net = pc.pc_net in
+  let var = Array.make (A.num_nodes net) (-1) in
+  let count = ref 0 in
+  let rec var_of n =
+    if var.(n) >= 0 then var.(n)
+    else begin
+      let v = !count in
+      incr count;
+      var.(n) <- v;
+      (match A.kind net n with
+       | A.Const -> emit [ Solver.lit_of v true ]
+       | A.Pi _ -> ()
+       | A.And ->
+         let a = lit_of (A.fanin0 net n) in
+         let b = lit_of (A.fanin1 net n) in
+         let pv = Solver.lit v in
+         emit [ Solver.neg pv; a ];
+         emit [ Solver.neg pv; b ];
+         emit [ pv; Solver.neg a; Solver.neg b ]);
+      v
+    end
+  and lit_of l = Solver.lit_of (var_of (L.node l)) (L.is_compl l) in
+  let a = lit_of pc.pc_a in
+  let b = lit_of pc.pc_b in
+  let m = Solver.lit !count and s = Solver.lit (!count + 1) in
+  count := !count + 2;
+  emit [ Solver.neg m; a; b ];
+  emit [ Solver.neg m; Solver.neg a; Solver.neg b ];
+  emit [ m; Solver.neg a; b ];
+  emit [ m; a; Solver.neg b ];
+  emit [ Solver.neg s; m ];
+  (!count, var)
 
 type entry = E_equiv of int array list | E_diff of bool array
 
@@ -87,8 +148,20 @@ let solve ?(conflict_limits = []) ?deadline ~certify pc =
           | Solver.P_learn c -> learns := c :: !learns
           | Solver.P_input _ | Solver.P_delete _ -> ());
          match checker with Some ck -> Drup.feed ck step | None -> ()));
-  let env, sl = encode pc solver in
-  let assumptions = [ sl ] in
+  let count, var =
+    encode pc (fun c ->
+        (* The solver wants each variable created before a clause
+           mentions it; creating them in numbering order keeps its
+           numbering the encoding's. *)
+        List.iter
+          (fun l ->
+            while Solver.num_vars solver <= l lsr 1 do
+              ignore (Solver.new_var solver)
+            done)
+          c;
+        Solver.add_clause solver c)
+  in
+  let assumptions = [ Solver.lit (count - 1) ] in
   let solve conflict_limit =
     Solver.solve ?conflict_limit ?deadline ~assumptions solver
   in
@@ -118,9 +191,8 @@ let solve ?(conflict_limits = []) ?deadline ~certify pc =
     | Solver.Sat -> (
       let ce =
         Array.init (A.num_pis pc.pc_net) (fun i ->
-            let n = A.pi_node pc.pc_net i in
-            Tseitin.is_encoded env n
-            && Solver.value solver (Solver.lit (Tseitin.var_of_node env n)))
+            let v = var.(A.pi_node pc.pc_net i) in
+            v >= 0 && Solver.value solver (Solver.lit v))
       in
       match checker with
       | None -> O_diff ce
@@ -132,18 +204,21 @@ let solve ?(conflict_limits = []) ?deadline ~certify pc =
   (outcome, { s_retries = retries; s_solver = Solver.stats solver })
 
 let replay pc proof =
-  (* No solving: the encoding pass streams the input clauses into a
-     fresh checker via the proof logger, then every certificate clause
-     must be RUP against the database built so far. Deletions recorded
-     by the producer are irrelevant — RUP is monotone in the database,
-     so checking against the superset is sound (and the cones are small
-     enough that the extra clauses cost nothing). *)
-  let solver = Solver.create () in
+  (* No solver: the encoder streams the input clauses straight into a
+     fresh checker, then every certificate clause must be RUP against
+     the database built so far. Deletions recorded by the producer are
+     irrelevant — RUP is monotone in the database, so checking against
+     the superset is sound (and the cones are small enough that the
+     extra clauses cost nothing). A literal outside the encoding is
+     refused before it reaches the checker, which would otherwise size
+     its per-variable arrays by it: [solve] never emits one. *)
   let checker = Drup.create () in
-  Drup.attach checker solver;
-  let _env, sl = encode pc solver in
+  let count, _ = encode pc (Drup.add_input checker) in
+  let in_encoding c = Array.for_all (fun l -> l lsr 1 < count) c in
   let rec go = function
-    | [] -> Drup.certify_unsat checker ~assumptions:[ sl ]
+    | [] -> Drup.certify_unsat checker ~assumptions:[ Solver.lit (count - 1) ]
+    | c :: _ when not (in_encoding c) ->
+      Error "certificate clause names a variable outside the encoding"
     | c :: rest -> (
       match Drup.add_derived checker (Array.to_list c) with
       | Ok () -> go rest

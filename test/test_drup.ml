@@ -309,6 +309,74 @@ let test_deletion_of_root_reason_skipped () =
   | Ok () -> ()
   | Error why -> Alcotest.failf "root unit lost: %s" why
 
+(* Is [l] RUP against the database? Asked through an assumption, which
+   leaves the database as it was. *)
+let rup c l = Result.is_ok (Dr.certify_unsat c ~assumptions:[ S.neg l ])
+
+let test_deletion_of_duplicates () =
+  (* (a or b) twice plus (!a or b): one deletion leaves a copy, so b is
+     still RUP; the second deletion removes it. *)
+  let a = S.lit_of 0 false and b = S.lit_of 1 false in
+  let c = Dr.create () in
+  Dr.add_input c [ a; b ];
+  Dr.add_input c [ a; b ];
+  Dr.add_input c [ S.neg a; b ];
+  Dr.delete c [ b; a ];
+  check_int "one copy deleted" 1 (Dr.num_deleted c);
+  check "b still RUP" true (rup c b);
+  Dr.delete c [ b; a ];
+  check_int "both copies deleted" 2 (Dr.num_deleted c);
+  check "b no longer RUP" false (rup c b)
+
+let test_deletion_after_watch_moves () =
+  (* The root unit !a makes propagation move (a or b or c)'s watch off
+     [a], permuting the stored literals; deletion matches by set. *)
+  let a = S.lit_of 0 false and b = S.lit_of 1 false and d = S.lit_of 2 false in
+  let c = Dr.create () in
+  Dr.add_input c [ a; b; d ];
+  Dr.add_input c [ S.neg a ];
+  Dr.delete c [ d; b; a ];
+  check_int "deleted" 1 (Dr.num_deleted c)
+
+let test_deletion_index_built_late () =
+  (* The chain x0 -> x1 -> ... -> x100 as 100 clauses, none deleted
+     before: the first deletion builds the index and must hit the link
+     it names; a link added after that must be deletable too. *)
+  let x i = S.lit_of i false in
+  let link i = [ S.neg (x i); x (i + 1) ] in
+  let c = Dr.create () in
+  for i = 0 to 99 do
+    Dr.add_input c (link i)
+  done;
+  let chain_holds ~from =
+    Result.is_ok (Dr.certify_unsat c ~assumptions:[ x from; S.neg (x 100) ])
+  in
+  check "chain holds" true (chain_holds ~from:0);
+  Dr.delete c (List.rev (link 37));
+  check_int "first deletion hit" 1 (Dr.num_deleted c);
+  check "link 37 gone" false (chain_holds ~from:0);
+  check "rest of the chain intact" true (chain_holds ~from:38);
+  Dr.add_input c (link 37);
+  check "link 37 restored" true (chain_holds ~from:0);
+  Dr.delete c (link 37);
+  check_int "deletion of a clause added after the index" 2 (Dr.num_deleted c);
+  check "link 37 gone again" false (chain_holds ~from:0)
+
+let test_deletion_of_unknown_clause () =
+  (* Never added: nothing changes, whether the deletion builds the
+     index or finds it built. *)
+  let a = S.lit_of 0 false and b = S.lit_of 1 false and d = S.lit_of 2 false in
+  let c = Dr.create () in
+  Dr.add_input c [ a; b ];
+  Dr.add_input c [ S.neg a; b ];
+  Dr.delete c [ a; d ];
+  Dr.delete c [ S.neg b ];
+  check_int "nothing deleted" 0 (Dr.num_deleted c);
+  check "b still RUP" true (rup c b);
+  Dr.delete c [ a; b ];
+  Dr.delete c [ a; b ];
+  check_int "only the known clause deleted" 1 (Dr.num_deleted c)
+
 let test_certify_under_assumptions () =
   (* x -> y -> z: unsat under {x, !z}, satisfiable under {x}. *)
   let x = S.lit_of 0 false and y = S.lit_of 1 false and z = S.lit_of 2 false in
@@ -416,6 +484,14 @@ let () =
             test_deletion_breaks_rup;
           Alcotest.test_case "root reason deletion skipped" `Quick
             test_deletion_of_root_reason_skipped;
+          Alcotest.test_case "duplicate deletion" `Quick
+            test_deletion_of_duplicates;
+          Alcotest.test_case "deletion after watches moved" `Quick
+            test_deletion_after_watch_moves;
+          Alcotest.test_case "deletion index built late" `Quick
+            test_deletion_index_built_late;
+          Alcotest.test_case "unknown clause deletion" `Quick
+            test_deletion_of_unknown_clause;
           Alcotest.test_case "assumption certification" `Quick
             test_certify_under_assumptions;
           Alcotest.test_case "model validation" `Quick

@@ -1130,18 +1130,9 @@ let test_cache_fault_matrix () =
         Alcotest.failf "%s: no damaged entry was ever rejected" site_name)
     [ "cache.corrupt_entry"; "cache.torn_write" ]
 
-let test_cache_paranoid_tamper () =
-  (* Forged entries with valid structure: correct key, correct checksum,
-     gutted proof. Structural integrity alone must not be enough under
-     --paranoid — the replayed certificate is the trust anchor. *)
-  with_cache_dir @@ fun dir ->
-  let rng = Rng.create 0x7A3BE2L in
-  let base = random_network rng ~pis:8 ~gates:120 ~pos:4 in
-  let net = Gen.Redundant.inject ~seed:5L ~fraction:0.5 base in
-  let c = Svc.Cache.open_ dir in
-  let _, stc =
-    Sweep.Stp_sweep.sweep ~config:(cache_config ~certify:true c) net
-  in
+(* Rewrite every stored equivalence entry so that its proof is [proof],
+   keeping it structurally valid: right key, recomputed checksum. *)
+let forge_equiv_entries dir proof =
   let forged = ref 0 in
   iter_cache_files dir (fun path ->
       let raw = In_channel.with_open_bin path In_channel.input_all in
@@ -1157,7 +1148,13 @@ let test_cache_paranoid_tamper () =
           let entry' =
             Obj
               [
-                ("v", Int 1); ("verdict", String "equiv"); ("proof", List []);
+                ("v", Int 1);
+                ("verdict", String "equiv");
+                ( "proof",
+                  List
+                    (List.map
+                       (fun c -> List (List.map (fun l -> Int l) c))
+                       proof) );
               ]
           in
           let sum = Digest.to_hex (Digest.string (to_string entry')) in
@@ -1173,7 +1170,22 @@ let test_cache_paranoid_tamper () =
           incr forged
         | _ -> ())
       | exception Obs.Json.Parse_error _ -> ());
-  check "some equivalence entries were forged" true (!forged > 0);
+  !forged
+
+(* A certified cold sweep fills the cache, every equivalence entry is
+   forged to carry [proof], and a paranoid warm sweep must reject the
+   forgeries at the proof, re-prove them, and keep the function. *)
+let check_paranoid_rejects_forgery proof =
+  with_cache_dir @@ fun dir ->
+  let rng = Rng.create 0x7A3BE2L in
+  let base = random_network rng ~pis:8 ~gates:120 ~pos:4 in
+  let net = Gen.Redundant.inject ~seed:5L ~fraction:0.5 base in
+  let c = Svc.Cache.open_ dir in
+  let _, stc =
+    Sweep.Stp_sweep.sweep ~config:(cache_config ~certify:true c) net
+  in
+  check "some equivalence entries were forged" true
+    (forge_equiv_entries dir proof > 0);
   let warm, stw =
     Sweep.Stp_sweep.sweep
       ~config:(cache_config ~certify:true ~cache_paranoid:true c)
@@ -1192,6 +1204,20 @@ let test_cache_paranoid_tamper () =
      not have quarantined anything — rejection happened at the proof. *)
   check_int "no quarantines for a structurally valid forgery" 0
     (Svc.Cache.counters c).Svc.Cache.c_quarantined
+
+let test_cache_paranoid_tamper () =
+  (* Forged entries with valid structure and a gutted proof. Structural
+     integrity alone must not be enough under --paranoid — the replayed
+     certificate is the trust anchor. *)
+  check_paranoid_rejects_forgery []
+
+let test_cache_paranoid_huge_literal () =
+  (* A stored literal far beyond the cone's encoding must be refused
+     before the checker sizes its per-variable arrays by it: 2^40 would
+     raise Out_of_memory out of the sweep, 2,000,000 would cost the
+     growth for every hit. *)
+  check_paranoid_rejects_forgery [ [ 1 lsl 40 ] ];
+  check_paranoid_rejects_forgery [ [ 2_000_000 ] ]
 
 let test_cache_crash_recovery () =
   (* The kill -9 contract at unit level: a committed-but-torn entry
@@ -1233,6 +1259,151 @@ let test_cache_crash_recovery () =
   Svc.Cache.store c2 ~key:"../../escape" entry;
   check "traversal key stored nothing" false
     (Sys.file_exists (Filename.concat (Filename.dirname dir) "escape"))
+
+(* ---- Cone_cert: cache keys and the canonical encoding ----
+
+   Cache keys and stored certificates outlive the code that wrote them,
+   so the extraction and the encoding are pinned here: a golden key, a
+   reference extraction, and the replay of every certificate [solve]
+   produces. *)
+
+module Cc = Sweep.Cone_cert
+
+(* The whole-network extraction the v1 keys were defined with, kept as
+   the reference the cone-local [Cone_cert.extract] must reproduce:
+   returns the key, the leaves and the two roots. *)
+let reference_extract net a b =
+  let cone = Aig.Cone.tfi net [ L.node a; L.node b ] in
+  let pc_net = A.create () in
+  let map = Array.make (A.num_nodes net) L.false_ in
+  let leaves = ref [] in
+  List.iter
+    (fun n ->
+      match A.kind net n with
+      | A.Const -> ()
+      | A.Pi i ->
+        map.(n) <- A.add_pi pc_net;
+        leaves := i :: !leaves
+      | A.And ->
+        let tr f = L.xor_compl map.(L.node f) (L.is_compl f) in
+        map.(n) <- A.add_and pc_net (tr (A.fanin0 net n)) (tr (A.fanin1 net n)))
+    cone;
+  let tr l = L.xor_compl map.(L.node l) (L.is_compl l) in
+  let pc_a = tr a and pc_b = tr b in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Printf.sprintf "v1 pi=%d;" (A.num_pis pc_net));
+  A.iter_ands pc_net (fun n ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d,%d;" (A.fanin0 pc_net n) (A.fanin1 pc_net n)));
+  Buffer.add_string buf (Printf.sprintf "r=%d,%d" pc_a pc_b);
+  ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+    Array.of_list (List.rev !leaves),
+    pc_a,
+    pc_b )
+
+(* An unused PI z, then x and y; two XORs of x and y built differently,
+   each node created in the order listed. *)
+let xor_pair () =
+  let net = A.create () in
+  let _z = A.add_pi net in
+  let x = A.add_pi net in
+  let y = A.add_pi net in
+  let and_ = A.add_and net and not_ = L.not_ in
+  let x_ny = and_ x (not_ y) in
+  let nx_y = and_ (not_ x) y in
+  let xor1 = not_ (and_ (not_ x_ny) (not_ nx_y)) in
+  let x_y = and_ x y in
+  let nx_ny = and_ (not_ x) (not_ y) in
+  let xor2 = and_ (not_ nx_ny) (not_ x_y) in
+  (net, xor1, xor2)
+
+let test_cone_cert_golden () =
+  let net, xor1, xor2 = xor_pair () in
+  let pc = Cc.extract net xor1 xor2 in
+  Alcotest.(check string) "key" "c1f36882d08e8fa2f47ccfa925b66982" pc.Cc.pc_key;
+  Alcotest.(check (array int)) "leaves" [| 1; 2 |] pc.Cc.pc_leaves;
+  check_int "first root" 11 pc.Cc.pc_a;
+  check_int "second root" 16 pc.Cc.pc_b;
+  let pcc = Cc.extract net xor1 (L.not_ xor2) in
+  Alcotest.(check string) "complemented pair's key"
+    "830b683c3687ee13abd34ea48e57ac8a" pcc.Cc.pc_key;
+  (* 6 ANDs, 2 PIs, the miter output and the selector; 3 clauses per
+     AND and 5 for the miter, the selector clause last. *)
+  let clauses = ref [] in
+  let count, var = Cc.encode pc (fun c -> clauses := c :: !clauses) in
+  check_int "variables" 10 count;
+  check_int "clauses" 23 (List.length !clauses);
+  Alcotest.(check (list int)) "selector clause" [ 19; 16 ] (List.hd !clauses);
+  check "every PI numbered" true
+    (List.for_all (fun i -> var.(A.pi_node pc.Cc.pc_net i) >= 0) [ 0; 1 ]);
+  match Cc.solve ~certify:true pc with
+  | Cc.O_equiv proof, _ ->
+    check_int "proof clauses" 4 (List.length proof);
+    check "proof replays" true (Cc.replay pc proof = Ok ());
+    check "proof rejected on the complemented pair" true
+      (Result.is_error (Cc.replay pcc proof))
+  | _ -> Alcotest.fail "XOR pair not proven equivalent"
+
+(* Truth table of every node over all PI assignments. *)
+let node_tables net =
+  let rows = 1 lsl A.num_pis net in
+  let tt = Array.make_matrix (A.num_nodes net) rows false in
+  for r = 0 to rows - 1 do
+    A.iter_nodes net (fun n ->
+        match A.kind net n with
+        | A.Const -> ()
+        | A.Pi i -> tt.(n).(r) <- (r lsr i) land 1 = 1
+        | A.And ->
+          let f l = tt.(L.node l).(r) <> L.is_compl l in
+          tt.(n).(r) <- f (A.fanin0 net n) && f (A.fanin1 net n))
+  done;
+  tt
+
+(* Random pairs and pairs of equal functions, on random networks with
+   injected redundancy: [extract] must match the reference, an [O_equiv]
+   must replay and be a real equivalence, an [O_diff] witness must
+   distinguish the pair. *)
+let prop_cone_cert seed =
+  let rng = Rng.create seed in
+  let base =
+    random_network rng ~pis:(3 + Rng.int rng 5) ~gates:(20 + Rng.int rng 60)
+      ~pos:3
+  in
+  let net = Gen.Redundant.inject ~seed ~fraction:0.5 base in
+  let tt = node_tables net in
+  let value l r = tt.(L.node l).(r) <> L.is_compl l in
+  let nn = A.num_nodes net in
+  let lit () = L.of_node (Rng.int rng nn) (Rng.bool rng) in
+  let equal = ref [] in
+  for i = 1 to nn - 1 do
+    for j = i + 1 to nn - 1 do
+      if tt.(i) = tt.(j) then
+        equal := (L.of_node i false, L.of_node j false) :: !equal
+    done
+  done;
+  let pairs =
+    List.filteri (fun k _ -> k < 30) !equal
+    @ List.init 30 (fun _ -> (lit (), lit ()))
+  in
+  List.for_all
+    (fun (a, b) ->
+      let pc = Cc.extract net a b in
+      (pc.Cc.pc_key, pc.Cc.pc_leaves, pc.Cc.pc_a, pc.Cc.pc_b)
+      = reference_extract net a b
+      &&
+      let rows = Array.length tt.(0) in
+      match Cc.solve ~certify:true pc with
+      | Cc.O_equiv proof, _ ->
+        Cc.replay pc proof = Ok ()
+        && List.for_all (fun r -> value a r = value b r) (List.init rows Fun.id)
+      | Cc.O_diff small, _ ->
+        let r = ref 0 in
+        Array.iteri
+          (fun k v -> if v then r := !r lor (1 lsl pc.Cc.pc_leaves.(k)))
+          small;
+        value a !r <> value b !r
+      | _ -> false)
+    pairs
 
 let () =
   Alcotest.run "sweep"
@@ -1305,6 +1476,17 @@ let () =
           Alcotest.test_case "fault catalog complete" `Quick
             test_fault_catalog_complete;
         ] );
+      ( "cone_cert",
+        [
+          Alcotest.test_case "golden key and certificate" `Quick
+            test_cone_cert_golden;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make
+               ~name:"reference extract; proofs replay"
+               ~count:150
+               (QCheck.make ~print:Int64.to_string QCheck.Gen.ui64)
+               prop_cone_cert);
+        ] );
       ( "cache",
         [
           Alcotest.test_case "warm run replays the cold run" `Slow
@@ -1317,5 +1499,7 @@ let () =
             test_cache_crash_recovery;
           Alcotest.test_case "conflict limit 0 is a limit when cached" `Quick
             test_cache_conflict_limit_zero;
+          Alcotest.test_case "paranoid rejects out-of-range literals" `Slow
+            test_cache_paranoid_huge_literal;
         ] );
     ]
