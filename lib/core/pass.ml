@@ -20,7 +20,6 @@ type ctx = {
       (* cross-run equivalence cache handed to every sweep pass; the
          daemon shares one store across all requests *)
   cache_paranoid : bool;
-  metrics : Obs.Metrics.t;
   input : A.t;
   mutable checkpoint : A.t;
   mutable verdicts : string list;
@@ -38,7 +37,6 @@ let create_ctx ?(sim_domains = 1) ?(sat_domains = 1)
     certify;
     cache;
     cache_paranoid;
-    metrics = Obs.Metrics.create ();
     input;
     checkpoint = input;
     verdicts = [];
@@ -361,7 +359,6 @@ let run_pipeline ctx passes net0 =
         ctx.echo
           (Printf.sprintf "%-14s skipped (budget exhausted: %s)\n" p.name
              reason);
-        Obs.Metrics.incr ctx.metrics "passes.skipped";
         records :=
           {
             r_name = p.name;
@@ -379,8 +376,6 @@ let run_pipeline ctx passes net0 =
         let t0 = Obs.Clock.now () in
         let out, detail = p.run ctx !net in
         let dt = Obs.Clock.now () -. t0 in
-        Obs.Metrics.add_time ctx.metrics ("pass." ^ p.name) dt;
-        Obs.Metrics.incr ctx.metrics "passes.run";
         net := out;
         ctx.echo
           (Printf.sprintf "%-14s %s\n" p.name

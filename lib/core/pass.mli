@@ -5,8 +5,8 @@
     AIG and returns a pass-specific JSON record. The {e context} carries
     everything a production flow shares across stages — the
     simulation-domain count, one {!Obs.Budget} for the whole
-    pipeline, the verify/certify policy, {!Obs.Metrics}, and a snapshot
-    of the pipeline input for equivalence checkpoints. The {e registry}
+    pipeline, the verify/certify policy, and a snapshot of the pipeline
+    input for equivalence checkpoints. The {e registry}
     provides the built-in passes ([sweep], [rewrite], [balance],
     [cleanup], [verify], [ps]); {!Script} turns an ABC-style command
     string into a pipeline of them.
@@ -33,7 +33,6 @@ type ctx = {
           between requests; see {!Sweep.Engine.cache_ops} *)
   cache_paranoid : bool;
       (** replay stored certificates before serving cache hits *)
-  metrics : Obs.Metrics.t;
   input : Aig.Network.t;  (** snapshot of the pipeline input *)
   mutable checkpoint : Aig.Network.t;
       (** last network a [verify] pass proved equivalent; starts as

@@ -21,6 +21,10 @@ let emitf fmt =
             epoch := Some now;
             now
         in
-        Printf.eprintf "[trace +%.3fs] %s\n%!" (now -. t0) msg
+        (* A diagnostic must never fail the operation it describes: a
+           line that cannot be written (say, stderr is a closed pipe and
+           SIGPIPE is ignored) is dropped. *)
+        try Printf.eprintf "[trace +%.3fs] %s\n%!" (now -. t0) msg
+        with Sys_error _ -> ()
       end)
     fmt

@@ -4,7 +4,8 @@
     variable or a CLI [--trace] flag calling {!enable}. Lines go to
     stderr as [[trace +SECONDS] message] with seconds relative to the
     first emission, so a stalled sweep shows where it stalled without
-    perturbing stdout reports. *)
+    perturbing stdout reports. A line that cannot be written is
+    dropped: tracing never raises into the traced operation. *)
 
 val enabled : unit -> bool
 

@@ -48,11 +48,6 @@ type t = {
   mutable tmp_seq : int;
 }
 
-let counted t f =
-  Mutex.lock t.lock;
-  f t;
-  Mutex.unlock t.lock
-
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> f t)
@@ -248,7 +243,7 @@ let read_all path =
 let quarantine t path =
   (try Unix.rename path (path ^ quarantine_suffix)
    with Unix.Unix_error _ -> ( try Sys.remove path with Sys_error _ -> ()));
-  counted t (fun t ->
+  locked t (fun t ->
       t.quarantined <- t.quarantined + 1;
       match Filename.chop_suffix_opt ~suffix:".json" (Filename.basename path) with
       | Some key -> (
@@ -262,7 +257,7 @@ let quarantine t path =
    survives daemon restarts. [utimes 0 0] = "now". *)
 let touch t key path =
   (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-  counted t (fun t ->
+  locked t (fun t ->
       t.hits <- t.hits + 1;
       match Hashtbl.find_opt t.index key with
       | Some n ->
@@ -284,7 +279,7 @@ let find t ~key =
   else begin
     let _, path = entry_path t key in
     if not (Sys.file_exists path) then begin
-      counted t (fun t ->
+      locked t (fun t ->
           t.misses <- t.misses + 1;
           match Hashtbl.find_opt t.index key with
           | Some n -> index_forget t n
@@ -301,7 +296,7 @@ let find t ~key =
       match read_all path with
       | exception (Sys_error _ | End_of_file) ->
         if not (Sys.file_exists path) then begin
-          counted t (fun t ->
+          locked t (fun t ->
               t.misses <- t.misses + 1;
               match Hashtbl.find_opt t.index key with
               | Some n -> index_forget t n
@@ -363,11 +358,10 @@ let store t ~key entry =
        bit rot under a correct writer. *)
     let payload = apply_write_faults payload in
     let seq =
-      Mutex.lock t.lock;
-      let s = t.tmp_seq in
-      t.tmp_seq <- s + 1;
-      Mutex.unlock t.lock;
-      s
+      locked t (fun t ->
+          let s = t.tmp_seq in
+          t.tmp_seq <- s + 1;
+          s)
     in
     let tmp =
       Filename.concat sub
@@ -381,7 +375,7 @@ let store t ~key entry =
       Unix.rename tmp path
     with
     | () ->
-      counted t (fun t ->
+      locked t (fun t ->
           t.stores <- t.stores + 1;
           index_add t key path (String.length payload);
           ignore (enforce_budget t))

@@ -1,10 +1,26 @@
-(** A pool of solver domains for the sweep engine's SAT queries.
+(** A pool of solver domains for the sweep engine's SAT queries, with
+    two per-query strategies.
 
-    Each pool member owns one incremental {!Sat.Solver} with its own
-    {!Sat.Tseitin} environment over the shared fresh network and, in
-    certified mode, its own {!Sat.Drup} checker attached before the
-    first clause — so every domain carries an independent proof stream
-    and every merge it proves replays on its own checker.
+    - {b Incremental} (no cache): each pool member owns one incremental
+      {!Sat.Solver} with its own {!Sat.Tseitin} environment over the
+      shared fresh network and, in certified mode, its own {!Sat.Drup}
+      checker attached before the first clause — so every domain
+      carries an independent proof stream and every merge it proves
+      replays on its own checker.
+    - {b Cached} (created with [~cache]): a member extracts the pair's
+      canonical cone ({!Cone_cert.extract}) and looks its key up. A hit
+      is re-validated before it is served: its certificate replays
+      (certified or paranoid mode) or its counterexample distinguishes
+      the pair on the AIG. A miss or a rejected entry is proven by
+      {!Cone_cert.solve} on a throwaway solver, which runs the whole
+      conflict schedule, and its verdict is stored. Undetermined and
+      rejected answers are never stored.
+
+    Both strategies answer with a {!Sat.Tseitin.equiv_result}, so one
+    walk turns answers into counts, retries, [Hard]/[Stopped] outcomes
+    and counterexamples. In certified mode every solver counterexample
+    is re-evaluated on the AIG before it is returned; a cached one
+    always is.
 
     The engine drives the pool in waves (see DESIGN.md "Parallel
     dispatch"): it collects tasks while translating nodes, freezes the
@@ -13,12 +29,28 @@
     applies the results in task order as the single writer. Hard miters
     that exhausted the retry schedule can be re-attacked with
     {!run_cubes}, which splits the query across all assignments of a few
-    cone PIs.
+    cone PIs on the members' incremental solvers (cube verdicts are not
+    stored).
 
     Thread-safety contract: the network must not be mutated between the
-    start of {!run_wave}/{!run_cubes} and its return; the shared
-    {!Obs.Budget} is the only cross-domain channel (sticky atomic
-    exhaustion — any worker can trip degradation for all). *)
+    start of {!run_wave}/{!run_cubes} and its return. Two things are
+    shared across domains: the {!Obs.Budget} (sticky atomic exhaustion —
+    any worker can trip degradation for all) and the cache, whose
+    operations must take concurrent calls. *)
+
+type cache_found =
+  | Cache_hit of Obs.Json.t  (** the stored entry body, still untrusted *)
+  | Cache_miss
+  | Cache_corrupt
+      (** an entry existed but failed the store's integrity checks and
+          was quarantined; counted as rejected *)
+
+type cache_ops = {
+  cache_find : key:string -> cache_found;
+  cache_store : key:string -> Obs.Json.t -> unit;
+}
+(** A cross-run equivalence store keyed by {!Cone_cert} digests (see
+    {!Engine.cache_ops}). Called from every pool member. *)
 
 type cand = {
   c_rep : int;  (** earlier fresh node to compare against *)
@@ -36,11 +68,18 @@ type task = { t_node : int; t_cands : cand list }
 
 type counts = {
   mutable n_unsat : int;
+  mutable n_sat : int;  (** counterexamples that passed validation *)
   mutable n_undet : int;
   mutable n_retries : int;
   mutable n_cert_unsat : int;
+  mutable n_cert_models : int;
   mutable n_cert_rejected : int;
+  mutable n_cache_hits : int;
+  mutable n_cache_misses : int;
+  mutable n_cache_rejected : int;
 }
+(** One task's query outcomes; the engine folds them into {!Stats}. A
+    cache hit counts as a hit only, never as a SAT outcome. *)
 
 type outcome =
   | Merged of Aig.Lit.t * bool
@@ -56,26 +95,11 @@ type outcome =
 
 type result = {
   mutable r_outcome : outcome;
-  mutable r_ces : (bool array * int * bool) list;
-      (** counterexamples in reverse attempt order:
-          [(pattern, rep, compl)] — the engine validates and applies
-          them in order at merge time *)
+  mutable r_ces : bool array list;
+      (** validated counterexamples in reverse attempt order; the
+          engine applies them in order at merge time *)
   r_counts : counts;
 }
-
-type scratch
-(** Reusable arrays for {!ce_distinguishes}; one per domain. *)
-
-val scratch : unit -> scratch
-
-val ce_distinguishes :
-  scratch -> Aig.Network.t -> bool array -> int -> int -> bool -> bool
-(** [ce_distinguishes sc net ce nd r compl] evaluates the cones of [nd]
-    and [r] under the PI assignment [ce] and reports whether [nd]
-    differs from [r] (complemented when [compl]). Linear in the two
-    cones. The workers use it to skip candidates an earlier
-    counterexample of the same walk already refutes; the engine uses it
-    to validate counterexamples before they refine the classes. *)
 
 type t
 
@@ -84,12 +108,16 @@ val create :
   certify:bool ->
   conflict_limit:int option ->
   retry_schedule:int list ->
+  cache:cache_ops option ->
+  cache_paranoid:bool ->
   Aig.Network.t ->
   Obs.Budget.t ->
   t
 (** Spawns the worker pool and one solver/env/checker per member.
     [domains] is clamped to at least 1 (a 1-domain pool runs tasks on
-    the calling domain — same code path, no concurrency). *)
+    the calling domain — same code path, no concurrency). With [cache]
+    set, {!run_wave} queries use the cache strategy; [cache_paranoid]
+    replays stored certificates even outside certified mode. *)
 
 val domains : t -> int
 
@@ -106,16 +134,24 @@ type cube_query = {
   q_cube : (int * bool) list;  (** PI node -> forced value *)
 }
 
-type cube_answer = C_unsat | C_ce of bool array | C_undet | C_uncert
+val run_cubes :
+  t ->
+  conflict_limit:int option ->
+  cube_query array ->
+  Sat.Tseitin.equiv_result array
+(** One incremental query per cube, the cube joined to the query
+    assumptions (so certified UNSATs replay under their own cube);
+    [Undetermined] for a cube the budget stopped. The caller merges a
+    hard pair only when {e every} cube of its full [2^k] enumeration is
+    [Equivalent]; any [Counterexample] is an ordinary, validated one. *)
 
-val run_cubes : t -> conflict_limit:int option -> cube_query array -> cube_answer array
-(** One solver query per cube, the cube joined to the query assumptions
-    (so certified UNSATs replay under their own cube). The caller merges
-    a hard pair only when {e every} cube of its full [2^k] enumeration
-    comes back [C_unsat]; any [C_ce] is an ordinary counterexample. *)
+val tally : t -> counts -> served:bool -> Sat.Tseitin.equiv_result -> unit
+(** Counts one answer, [served] when the cache answered it — the walk's
+    and the cube phase's one mapping from answers to {!counts}. *)
 
 val solver_stats : t -> Sat.Solver.stats
-(** Field-wise sum over all pool members. *)
+(** Field-wise sum over all pool members, including the cache
+    strategy's throwaway solvers. *)
 
 val shutdown : t -> unit
 (** Joins the worker pool. The pool must not be used afterwards. *)

@@ -16,14 +16,15 @@ let fault_fail_window = Obs.Fault.register "sweep.fail_window"
 (* The cross-run cache is a service-layer concern (disk layout, fault
    sites, quarantine live in [Svc.Cache], which sits above this
    library), so the engine sees it only through this record — the
-   classic dependency inversion. The contract the engine enforces on
-   top of whatever the store does: nothing read from a hit is trusted
-   until re-validated here (certificate replay, counterexample
-   re-evaluation), so a malicious store can cost time, never
-   soundness. *)
-type cache_found = Cache_hit of Obs.Json.t | Cache_miss | Cache_corrupt
+   classic dependency inversion. The solver pool's cache strategy
+   ({!Dispatch}) trusts nothing read from a hit until it re-validates
+   it, so a malicious store can cost time, never soundness. *)
+type cache_found = Dispatch.cache_found =
+  | Cache_hit of Obs.Json.t
+  | Cache_miss
+  | Cache_corrupt
 
-type cache_ops = {
+type cache_ops = Dispatch.cache_ops = {
   cache_find : key:string -> cache_found;
   cache_store : key:string -> Obs.Json.t -> unit;
 }
@@ -117,9 +118,6 @@ type state = {
   classes : Equiv_classes.t;
   mutable pending_ce : int;
   budget : Obs.Budget.t;
-  eval : Dispatch.scratch;
-  (* counterexample validation on this domain: certified-mode solver
-     models and cached counterexamples *)
 }
 
 (* First exhaustion wins: record the reason and the phase where it was
@@ -351,15 +349,6 @@ let note_counterexample st ce =
     if st.pending_ce >= st.cfg.resim_batch then resimulate st
   end
 
-(* Network-level counterexample validation: evaluate both cones under
-   the pattern and demand they actually differ. In certified mode the
-   Tseitin layer has already checked the solver's model against the
-   checker's clause database; this closes the remaining gap (encoding
-   bugs, PI extraction bugs) by re-deriving the disagreement from the
-   AIG itself. *)
-let ce_distinguishes st ce nd r compl =
-  Dispatch.ce_distinguishes st.eval st.fresh ce nd r compl
-
 (* Exhaustive-window comparison from the cached tables: lift both onto
    the joint support and compare columns. Exact — equal tables prove
    equivalence, different tables refute it — so no SAT call happens
@@ -392,175 +381,21 @@ let window_verdict st nd r =
             else `Different))
     | _ -> `Unknown
 
-(* ---- cross-run cache path ----
-
-   With [config.cache] armed, the collect walk settles every candidate
-   the window leaves open on the calling domain, through {!Cone_cert}:
-   the pair's joint TFI is extracted into a canonical standalone
-   network, its key looked up, and on a miss the pair is proven on a
-   throwaway solver whose recorded refutation is self-contained —
-   exactly what can be stored and replayed by another run. Nothing from
-   disk is trusted: an equivalence entry is served only after its
-   certificate replays (paranoid or certified mode; otherwise the
-   store's checksum gates it), a counterexample entry only after it
-   actually distinguishes the two cones on the AIG. Undetermined
-   outcomes are never stored, so a warm cache replays the cold run's
-   verdict sequence exactly. *)
-
-let cache_conflict_limits cfg =
-  match cfg.conflict_limit with
-  | None -> []
-  | Some base -> base :: cfg.retry_schedule
-
-(* Cache entries store counterexamples over the extracted cone's PIs;
-   the engine's pattern set wants them over all PIs of [st.fresh]. *)
-let expand_ce st (pc : Cone_cert.t) small =
-  let ce = Array.make (A.num_pis st.fresh) false in
-  Array.iteri
-    (fun i v -> if v then ce.(pc.Cone_cert.pc_leaves.(i)) <- true)
-    small;
-  ce
-
-let fold_cone_stats st (cs : Cone_cert.stats) =
-  let s = cs.Cone_cert.s_solver in
-  (* Cone queries run on a throwaway solver, so these counters are
-     already per-query deltas — charge them to the shared budget
-     directly. *)
-  (match
-     Obs.Budget.charge ~conflicts:s.Sat.Solver.conflicts
-       ~propagations:s.Sat.Solver.propagations st.budget
-   with
-  | Some reason -> note_exhausted st reason "sat"
-  | None -> ());
-  st.stats.Stats.sat_decisions <-
-    st.stats.Stats.sat_decisions + s.Sat.Solver.decisions;
-  st.stats.Stats.sat_conflicts <-
-    st.stats.Stats.sat_conflicts + s.Sat.Solver.conflicts;
-  st.stats.Stats.sat_propagations <-
-    st.stats.Stats.sat_propagations + s.Sat.Solver.propagations;
-  st.stats.Stats.sat_learned <-
-    st.stats.Stats.sat_learned + s.Sat.Solver.learned;
-  (* Each retried call was an undetermined outcome, mirroring the
-     pool's per-call counting. *)
-  st.stats.Stats.sat_undet <-
-    st.stats.Stats.sat_undet + cs.Cone_cert.s_retries;
-  st.stats.Stats.sat_retries <-
-    st.stats.Stats.sat_retries + cs.Cone_cert.s_retries
-
-(* Replay gate for a stored equivalence certificate. Certified runs
-   must replay (a hit feeds a merge the run promises is proven);
-   paranoid mode replays by policy; otherwise the checksum the store
-   already verified is the line of defense and the proof is trusted. *)
-let cache_accept_equiv st pc proof =
-  if st.cfg.cache_paranoid || st.cfg.certify then (
-    match timed st `Sat (fun () -> Cone_cert.replay pc proof) with
-    | Ok () -> true
-    | Error why ->
-      Obs.Trace.emitf "cache certificate failed replay (%s) — entry rejected"
-        why;
-      false)
-  else true
-
-let cache_attempt st ops nd r compl =
-  let pc =
-    timed st `Sat (fun () ->
-        Cone_cert.extract st.fresh (L.of_node nd false) (L.of_node r compl))
-  in
-  let key = pc.Cone_cert.pc_key in
-  let solve_and_store () =
-    let outcome, cs =
-      timed st `Sat (fun () ->
-          Cone_cert.solve
-            ~conflict_limits:(cache_conflict_limits st.cfg)
-            ?deadline:(Obs.Budget.deadline st.budget)
-            ~certify:st.cfg.certify pc)
-    in
-    fold_cone_stats st cs;
-    match outcome with
-    | Cone_cert.O_equiv proof ->
-      st.stats.Stats.sat_unsat <- st.stats.Stats.sat_unsat + 1;
-      if st.cfg.certify then
-        st.stats.Stats.certified_unsat <- st.stats.Stats.certified_unsat + 1;
-      ops.cache_store ~key (Cone_cert.entry_to_json (Cone_cert.E_equiv proof));
-      `Merge (L.of_node r compl)
-    | Cone_cert.O_diff small ->
-      let ce = expand_ce st pc small in
-      if st.cfg.certify && not (ce_distinguishes st ce nd r compl) then begin
-        st.stats.Stats.certificate_rejected <-
-          st.stats.Stats.certificate_rejected + 1;
-        Obs.Trace.emitf
-          "counterexample rejected (does not distinguish nodes %d and %d) — \
-           merge skipped"
-          nd r;
-        `Fail
-      end
-      else begin
-        st.stats.Stats.sat_sat <- st.stats.Stats.sat_sat + 1;
-        if st.cfg.certify then
-          st.stats.Stats.certified_models <- st.stats.Stats.certified_models + 1;
-        ops.cache_store ~key (Cone_cert.entry_to_json (Cone_cert.E_diff small));
-        note_counterexample st ce;
-        `Ce
-      end
-    | Cone_cert.O_undet ->
-      st.stats.Stats.sat_undet <- st.stats.Stats.sat_undet + 1;
-      `Fail
-    | Cone_cert.O_uncert why ->
-      st.stats.Stats.certificate_rejected <-
-        st.stats.Stats.certificate_rejected + 1;
-      Obs.Trace.emitf
-        "certificate rejected (%s) — node %d keeps its structural translation"
-        why nd;
-      `Fail
-  in
-  let reject () =
-    st.stats.Stats.cache_rejected <- st.stats.Stats.cache_rejected + 1;
-    solve_and_store ()
-  in
-  match ops.cache_find ~key with
-  | Cache_corrupt -> reject ()
-  | Cache_miss ->
-    st.stats.Stats.cache_misses <- st.stats.Stats.cache_misses + 1;
-    solve_and_store ()
-  | Cache_hit body -> (
-    match Cone_cert.entry_of_json body with
-    | Error _ -> reject ()
-    | Ok (Cone_cert.E_equiv proof) ->
-      if cache_accept_equiv st pc proof then begin
-        st.stats.Stats.cache_hits <- st.stats.Stats.cache_hits + 1;
-        `Merge (L.of_node r compl)
-      end
-      else reject ()
-    | Ok (Cone_cert.E_diff small) ->
-      if Array.length small <> Array.length pc.Cone_cert.pc_leaves then
-        reject ()
-      else begin
-        let ce = expand_ce st pc small in
-        (* Unconditional (not just certified mode): the pattern came
-           from disk, and a non-distinguishing pattern would quietly
-           poison the class refinement. *)
-        if ce_distinguishes st ce nd r compl then begin
-          st.stats.Stats.cache_hits <- st.stats.Stats.cache_hits + 1;
-          note_counterexample st ce;
-          `Ce
-        end
-        else reject ()
-      end)
-
 (* ---- the sweep loop ----
 
    One input-to-output pass over the old AND nodes, in waves. Collect:
    translate old nodes on the calling domain, resolving structural
-   hits, window verdicts and (with the cache armed) cache verdicts on
-   the spot; a node whose walk still needs the solver becomes a task
-   carrying its pre-filtered candidate list. Solve: the network frozen,
-   the solver pool drains the tasks ({!Dispatch.run_wave}), each member
-   loading cone CNFs into its own incremental solver. Cube: tasks whose
-   retry schedule ran dry are split over all assignments of a few cone
-   PIs and re-attacked across the pool. Merge: the calling domain — the
-   single writer — applies results in task order: proven merges into
-   the map, validated counterexamples into the pattern set (batched
-   into shared resimulations), counters into stats.
+   hits and window verdicts on the spot; a node whose walk still needs
+   a query becomes a task carrying its pre-filtered candidate list.
+   Solve: the network frozen, the solver pool drains the tasks
+   ({!Dispatch.run_wave}), each member answering queries with its own
+   incremental solver or, with the cache armed, through the cache.
+   Cube: tasks whose retry schedule ran dry are split over all
+   assignments of a few cone PIs and re-attacked across the pool.
+   Merge: the calling domain — the single writer — applies results in
+   task order: proven merges into the map, counterexamples into the
+   pattern set (batched into shared resimulations), counters into
+   stats.
 
    A wave ends before the first old node with a fanin whose task still
    awaits its verdict. Every node is therefore translated through its
@@ -576,18 +411,13 @@ type collected = C_none | C_merge of L.t | C_task of Dispatch.cand list
 (* Walk [nd]'s candidate class on the calling domain. Window-proved
    equalities merge on the spot when nothing precedes them and close
    the task's walk otherwise (nothing beyond them is reachable). Every
-   examined representative — window split, deferred query, cached
-   verdict — charges [max_compares], so a class dominated by window
-   splits still ends its walk. With the cache armed, each candidate the
-   window leaves open is settled here through [cache_attempt], so
-   cold and warm runs follow one verdict sequence; a cached
-   counterexample can resimulate mid-walk, hence the signatures are
-   re-read per candidate. *)
+   examined representative — window split or deferred query — charges
+   [max_compares], so a class dominated by window splits still ends its
+   walk. *)
 let collect st nd =
+  let sig_n = st.sigs.(nd) in
   let reps =
-    List.filter
-      (fun r -> r < nd)
-      (Equiv_classes.candidates st.classes st.sigs.(nd))
+    List.filter (fun r -> r < nd) (Equiv_classes.candidates st.classes sig_n)
   in
   let finish acc = match acc with [] -> C_none | l -> C_task (List.rev l) in
   let rec walk tried acc = function
@@ -598,7 +428,6 @@ let collect st nd =
          translation — never a partial merge. *)
       C_none
     | r :: rest -> (
-      let sig_n = st.sigs.(nd) in
       let compl = not (Sg.equal sig_n st.sigs.(r)) in
       (* Signature agreement is necessary, but a stale complement
          relation can slip in right after counterexamples; re-check in
@@ -622,18 +451,11 @@ let collect st nd =
         | `Different ->
           st.stats.Stats.window_splits <- st.stats.Stats.window_splits + 1;
           walk (tried + 1) acc rest
-        | `Unknown -> (
-          match st.cfg.cache with
-          | None ->
-            walk (tried + 1)
-              ({ Dispatch.c_rep = r; c_compl = compl; c_window_eq = false }
-              :: acc)
-              rest
-          | Some ops -> (
-            match cache_attempt st ops nd r compl with
-            | `Merge lit -> C_merge lit
-            | `Ce -> walk (tried + 1) acc rest
-            | `Fail -> C_none)))
+        | `Unknown ->
+          let c =
+            { Dispatch.c_rep = r; c_compl = compl; c_window_eq = false }
+          in
+          walk (tried + 1) (c :: acc) rest)
   in
   walk 0 [] reps
 
@@ -714,24 +536,14 @@ let cube_phase st disp tasks results =
           let counts = res.Dispatch.r_counts in
           let all_unsat = ref true in
           for i = start to start + ncubes - 1 do
+            Dispatch.tally disp counts ~served:false answers.(i);
             match answers.(i) with
-            | Dispatch.C_unsat ->
-              counts.Dispatch.n_unsat <- counts.Dispatch.n_unsat + 1;
-              if st.cfg.certify then
-                counts.Dispatch.n_cert_unsat <-
-                  counts.Dispatch.n_cert_unsat + 1
-            | Dispatch.C_ce ce ->
+            | Sat.Tseitin.Equivalent -> ()
+            | Sat.Tseitin.Counterexample ce ->
               all_unsat := false;
-              res.Dispatch.r_ces <-
-                (ce, c.Dispatch.c_rep, c.Dispatch.c_compl)
-                :: res.Dispatch.r_ces
-            | Dispatch.C_undet ->
-              all_unsat := false;
-              counts.Dispatch.n_undet <- counts.Dispatch.n_undet + 1
-            | Dispatch.C_uncert ->
-              all_unsat := false;
-              counts.Dispatch.n_cert_rejected <-
-                counts.Dispatch.n_cert_rejected + 1
+              res.Dispatch.r_ces <- ce :: res.Dispatch.r_ces
+            | Sat.Tseitin.Undetermined | Sat.Tseitin.Uncertified _ ->
+              all_unsat := false
           done;
           res.Dispatch.r_outcome <-
             (if !all_unsat then
@@ -742,10 +554,11 @@ let cube_phase st disp tasks results =
     end
   end
 
-(* Merge phase for one task: fold the worker's counters into stats,
-   validate and apply its counterexamples in attempt order, then apply
-   the proven merge (if any) to the translation map. Runs only on the
-   calling domain.
+(* Merge phase for one task: fold the worker's counters into stats —
+   the one place query outcomes become [Stats] — apply its
+   counterexamples (validated by the worker) in attempt order, then
+   apply the proven merge (if any) to the translation map. Runs only on
+   the calling domain.
 
    [seen] deduplicates counterexample patterns across the whole sweep:
    tasks walk classes frozen since the last resimulation, so different
@@ -757,54 +570,37 @@ let cube_phase st disp tasks results =
    actually entered the simulation set. *)
 let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
     old_nd l =
-  let counts = res.Dispatch.r_counts in
-  st.stats.Stats.sat_unsat <- st.stats.Stats.sat_unsat + counts.Dispatch.n_unsat;
-  st.stats.Stats.sat_undet <- st.stats.Stats.sat_undet + counts.Dispatch.n_undet;
-  st.stats.Stats.sat_retries <-
-    st.stats.Stats.sat_retries + counts.Dispatch.n_retries;
-  st.stats.Stats.certified_unsat <-
-    st.stats.Stats.certified_unsat + counts.Dispatch.n_cert_unsat;
-  if counts.Dispatch.n_cert_rejected > 0 then begin
-    st.stats.Stats.certificate_rejected <-
-      st.stats.Stats.certificate_rejected + counts.Dispatch.n_cert_rejected;
+  let c = res.Dispatch.r_counts and s = st.stats in
+  s.Stats.sat_unsat <- s.Stats.sat_unsat + c.Dispatch.n_unsat;
+  s.sat_sat <- s.sat_sat + c.n_sat;
+  s.sat_undet <- s.sat_undet + c.n_undet;
+  s.sat_retries <- s.sat_retries + c.n_retries;
+  s.certified_unsat <- s.certified_unsat + c.n_cert_unsat;
+  s.certified_models <- s.certified_models + c.n_cert_models;
+  s.cache_hits <- s.cache_hits + c.n_cache_hits;
+  s.cache_misses <- s.cache_misses + c.n_cache_misses;
+  s.cache_rejected <- s.cache_rejected + c.n_cache_rejected;
+  if c.n_cert_rejected > 0 then begin
+    s.certificate_rejected <- s.certificate_rejected + c.n_cert_rejected;
     Obs.Trace.emitf
       "certificate rejected — node %d keeps its structural translation"
       task.Dispatch.t_node
   end;
   List.iter
-    (fun (ce, rep, compl) ->
-      if
-        st.cfg.certify
-        && not (ce_distinguishes st ce task.Dispatch.t_node rep compl)
-      then begin
-        st.stats.Stats.certificate_rejected <-
-          st.stats.Stats.certificate_rejected + 1;
-        Obs.Trace.emitf
-          "counterexample rejected (does not distinguish nodes %d and %d) — \
-           pattern discarded"
-          task.Dispatch.t_node rep
-      end
-      else begin
-        st.stats.Stats.sat_sat <- st.stats.Stats.sat_sat + 1;
-        if st.cfg.certify then
-          st.stats.Stats.certified_models <-
-            st.stats.Stats.certified_models + 1;
-        let key =
-          String.init (Array.length ce) (fun i -> if ce.(i) then '1' else '0')
-        in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          note_counterexample st ce
-        end
+    (fun ce ->
+      let key =
+        String.init (Array.length ce) (fun i -> if ce.(i) then '1' else '0')
+      in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        note_counterexample st ce
       end)
     (List.rev res.Dispatch.r_ces);
   match res.Dispatch.r_outcome with
   | Dispatch.Merged (lit, via_window) ->
-    if via_window then
-      st.stats.Stats.window_merges <- st.stats.Stats.window_merges + 1;
-    st.stats.Stats.merges <- st.stats.Stats.merges + 1;
-    if L.is_const lit then
-      st.stats.Stats.const_merges <- st.stats.Stats.const_merges + 1;
+    if via_window then s.window_merges <- s.window_merges + 1;
+    s.merges <- s.merges + 1;
+    if L.is_const lit then s.const_merges <- s.const_merges + 1;
     map.(old_nd) <- L.xor_compl lit (L.is_compl l)
   | Dispatch.Exhausted | Dispatch.Hard _ -> ()
   | Dispatch.Stopped -> (
@@ -814,13 +610,10 @@ let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
 
 let sweep_ands st old_net map tr =
   let cfg = st.cfg in
-  (* With the cache armed, [collect] settles every candidate on this
-     domain and no task reaches the pool, so the pool spawns nothing. *)
   let disp =
-    Dispatch.create
-      ~domains:(if cfg.cache = None then cfg.sat_domains else 1)
-      ~certify:cfg.certify ~conflict_limit:cfg.conflict_limit
-      ~retry_schedule:cfg.retry_schedule st.fresh st.budget
+    Dispatch.create ~domains:cfg.sat_domains ~certify:cfg.certify
+      ~conflict_limit:cfg.conflict_limit ~retry_schedule:cfg.retry_schedule
+      ~cache:cfg.cache ~cache_paranoid:cfg.cache_paranoid st.fresh st.budget
   in
   Fun.protect
     ~finally:(fun () ->
@@ -956,7 +749,6 @@ let run ?(config = stp_config) old_net =
       classes = Equiv_classes.create ~num_patterns:(P.num_patterns pats);
       pending_ce = 0;
       budget;
-      eval = Dispatch.scratch ();
     }
   in
   (* Guided init may already have eaten the whole budget. *)

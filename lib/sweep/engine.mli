@@ -26,14 +26,14 @@ exception Verification_failed of string
     disagrees with the input on some PO — see also {!Selfcheck.run},
     which adds a full CEC pass. *)
 
-type cache_found =
+type cache_found = Dispatch.cache_found =
   | Cache_hit of Obs.Json.t  (** the stored entry body, still untrusted *)
   | Cache_miss
   | Cache_corrupt
       (** an entry existed but failed the store's integrity checks and
           was quarantined; counted into [Stats.cache_rejected] *)
 
-type cache_ops = {
+type cache_ops = Dispatch.cache_ops = {
   cache_find : key:string -> cache_found;
   cache_store : key:string -> Obs.Json.t -> unit;
 }
@@ -41,10 +41,12 @@ type cache_ops = {
     [Svc.Cache], which lives above this library — dependency-inverted
     so the engine never sees the disk). Keys are {!Cone_cert} canonical
     cone-pair digests; bodies are {!Cone_cert.entry_to_json} values.
-    The engine treats everything returned by [cache_find] as untrusted
-    input: equivalence certificates are replayed (certified/paranoid
-    modes) and counterexamples re-evaluated on the AIG before being
-    served, so a hostile store costs time, never soundness. *)
+    Every member of the solver pool calls both operations, so they
+    must be safe to call from several domains at once. Everything
+    [cache_find] returns is untrusted input: equivalence certificates
+    are replayed (certified/paranoid modes) and counterexamples
+    re-evaluated on the AIG before being served, so a hostile store
+    costs time, never soundness. *)
 
 type config = {
   seed : int64;
@@ -74,16 +76,18 @@ type config = {
           it the fork-join overhead outweighs the sharded work *)
   sat_domains : int;
       (** size of the solver pool ({!Dispatch}; default [1], values
-          below [1] count as [1]). Each member owns an incremental
-          solver and, in certified mode, its own DRUP checker. The
-          engine collects per-node candidate tasks in waves, each
-          ending before the first node with a fanin whose task awaits
-          its verdict, freezes the network while the pool drains them,
-          then applies the results in task order as the single writer.
-          A one-domain pool runs its tasks on the calling domain and
-          spawns nothing. While every query is answered (no conflict
-          limit, no budget cut) the swept network is the same for every
-          pool size. See DESIGN.md "Parallel dispatch". *)
+          below [1] count as [1]), cached or not. Each member owns an
+          incremental solver and, in certified mode, its own DRUP
+          checker; with [cache] armed it answers queries through the
+          cache instead. The engine collects per-node candidate tasks
+          in waves, each ending before the first node with a fanin
+          whose task awaits its verdict, freezes the network while the
+          pool drains them, then applies the results in task order as
+          the single writer. A one-domain pool runs its tasks on the
+          calling domain and spawns nothing. While every query is
+          answered (no conflict limit, no budget cut) the swept network
+          is the same for every pool size, cached or not. See DESIGN.md
+          "Parallel dispatch". *)
   budget : Obs.Budget.t option;
       (** the budget the sweep runs under; [None] = unlimited. A
           standalone call builds one ([Some (Obs.Budget.create ~timeout
@@ -117,16 +121,17 @@ type config = {
           [Stats.certificate_rejected]. See DESIGN.md "Trust
           boundary". *)
   cache : cache_ops option;
-      (** cross-run equivalence cache. When armed, every pair the
-          window leaves open is settled while the wave is collected, on
-          the calling domain, through {!Cone_cert}: the pair is
-          extracted into a canonical standalone cone, looked up by
-          content key, and on a miss proven on a throwaway solver whose
-          self-contained certificate (or counterexample) is stored
-          back. No task reaches the solver pool, so [sat_domains] does
-          not apply. Undetermined outcomes are never stored, so a warm
-          sweep replays the cold run's verdicts — identical merges,
-          CEC-equal results. *)
+      (** cross-run equivalence cache. When armed, the solver pool
+          answers every query the window leaves open through it
+          ({!Dispatch}'s cache strategy): the pool member extracts the
+          pair into a canonical standalone cone ({!Cone_cert}), looks
+          it up by content key, re-validates a hit, and otherwise
+          proves the pair on a throwaway solver whose self-contained
+          certificate (or counterexample) it stores back. The walk, the
+          counting and the cube-and-conquer fallback are the uncached
+          sweep's. Undetermined and cube verdicts are never stored, so
+          a warm sweep replays the cold run's verdicts and writes the
+          same network. *)
   cache_paranoid : bool;
       (** replay stored DRUP certificates through a fresh {!Sat.Drup}
           before serving a hit even outside certified mode — the

@@ -16,7 +16,8 @@
     - [guided_time] — SAT-guided initial pattern generation;
     - [resim_time] — batch counter-example resimulations;
     - [window_time] — exhaustive-window table construction/comparison;
-    - [sat_time] — equivalence queries in the CDCL solver;
+    - [sat_time] — equivalence queries in the CDCL solver (with a
+      cross-run cache armed, also its lookups, replays and stores);
     - [total_time] — the whole sweep, including untimed glue, so the sum
       of the phases is always <= [total_time]. *)
 

@@ -1,7 +1,7 @@
 (* Observability-layer tests: the clock is monotonic wall time (the
-   PR-2 bug was CPU time inverting parallel speedups), metrics account
-   exactly, and the JSON printer/parser round-trip — reports must be
-   readable back by any consumer. *)
+   PR-2 bug was CPU time inverting parallel speedups), and the JSON
+   printer/parser round-trip — reports must be readable back by any
+   consumer. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -47,35 +47,6 @@ let test_clock_wall_not_cpu () =
      almost no CPU time. 20ms sleep must show up on the wall clock. *)
   let dt, () = Obs.Clock.span (fun () -> Unix.sleepf 0.02) in
   check "sleep registers on wall clock" true (dt >= 0.015)
-
-(* ---- metrics ---- *)
-
-let test_metrics_counters () =
-  let m = Obs.Metrics.create () in
-  check_int "unset counter is 0" 0 (Obs.Metrics.counter m "x");
-  Obs.Metrics.incr m "x";
-  Obs.Metrics.incr m "x" ~by:41;
-  Obs.Metrics.incr m "y";
-  check_int "x accumulated" 42 (Obs.Metrics.counter m "x");
-  check_int "y accumulated" 1 (Obs.Metrics.counter m "y");
-  Alcotest.(check (list (pair string int)))
-    "sorted counters"
-    [ ("x", 42); ("y", 1) ]
-    (Obs.Metrics.counters m)
-
-let test_metrics_phases () =
-  let m = Obs.Metrics.create () in
-  check "unset phase is 0" true (Obs.Metrics.phase_time m "sim" = 0.);
-  Obs.Metrics.add_time m "sim" 0.5;
-  Obs.Metrics.add_time m "sim" 0.25;
-  check "phase accumulates" true (Obs.Metrics.phase_time m "sim" = 0.75);
-  let r = Obs.Metrics.time m "sat" (fun () -> 7) in
-  check_int "timed result" 7 r;
-  check "timed phase nonnegative" true (Obs.Metrics.phase_time m "sat" >= 0.);
-  match Obs.Metrics.to_json m with
-  | Obs.Json.Obj [ ("counters", _); ("phases_s", Obs.Json.Obj phases) ] ->
-    check "phases exported" true (List.mem_assoc "sim" phases)
-  | _ -> Alcotest.fail "unexpected metrics JSON shape"
 
 (* ---- json ---- *)
 
@@ -492,11 +463,6 @@ let () =
           Alcotest.test_case "monotonic" `Quick test_clock_monotonic;
           Alcotest.test_case "spans" `Quick test_clock_spans;
           Alcotest.test_case "wall not cpu" `Quick test_clock_wall_not_cpu;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counters" `Quick test_metrics_counters;
-          Alcotest.test_case "phases" `Quick test_metrics_phases;
         ] );
       ( "budget",
         [

@@ -832,6 +832,36 @@ let test_cache_compact () =
       if Filename.check_suffix file ".quarantined" then
         Alcotest.failf "quarantined litter: %s" file)
 
+let test_cache_trace_write_failure () =
+  (* An eviction traces a line. Under --trace, with stderr a pipe whose
+     reader is gone and SIGPIPE ignored (as sweepd runs), that write
+     fails: both stores must still return, and the cache lock must not
+     stay held, so the next find is served. This case leaves the trace
+     enabled, so it runs last. *)
+  let dir = tmp_dir "svctrace" in
+  let c = Svc.Cache.open_ ~max_entries:1 dir in
+  let saved = Unix.dup ~cloexec:true Unix.stderr in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.close rd;
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved;
+      Unix.close wr;
+      Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () ->
+      Unix.dup2 wr Unix.stderr;
+      Obs.Trace.enable ();
+      Svc.Cache.store c ~key:(mk_key 0) (entry_of 0);
+      Svc.Cache.store c ~key:(mk_key 1) (entry_of 1));
+  check_int "the second store evicted the first" 1
+    (Svc.Cache.counters c).Svc.Cache.c_evictions;
+  match Svc.Cache.find c ~key:(mk_key 1) with
+  | Sweep.Engine.Cache_hit e ->
+    check "resident entry served" true (J.member "v" e = Some (J.Int 1))
+  | _ -> Alcotest.fail "the resident entry must be served"
+
 let () =
   Alcotest.run "svc"
     [
@@ -876,5 +906,7 @@ let () =
             test_cache_evict_race_fault;
           Alcotest.test_case "compact sweeps, purges, evicts" `Quick
             test_cache_compact;
+          Alcotest.test_case "trace write failure keeps the cache usable"
+            `Quick test_cache_trace_write_failure;
         ] );
     ]

@@ -516,6 +516,18 @@ let test_max_compares_charges_window_splits () =
 
 (* ---- parallel SAT dispatch ---- *)
 
+let with_cache_dir f =
+  let dir = Filename.temp_file "swcache" "" in
+  Sys.remove dir;
+  let rec rm p =
+    if (try Sys.is_directory p with Sys_error _ -> false) then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      try Unix.rmdir p with Unix.Unix_error _ -> ()
+    end
+    else try Sys.remove p with Sys_error _ -> ()
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
 let dispatch_config ?(certify = false) ~sat_domains () =
   { Sweep.Engine.stp_config with Sweep.Engine.sat_domains; certify }
 
@@ -660,21 +672,49 @@ let test_dispatch_budget_degrades () =
 let test_dispatch_hwmcc_bytes () =
   (* Waves end before a node whose fanin still awaits its verdict, so
      every node is translated through its fanins' final literals: the
-     swept bytes must not depend on the pool size, and the result must
-     keep almost no redundancy for a second sweep to find. *)
+     swept bytes must depend neither on the pool size nor on the query
+     strategy (a cached sweep settles on the same merges), and the
+     result must keep almost no redundancy for a second sweep to
+     find. *)
   List.iter
     (fun name ->
       let net = Gen.Suites.hwmcc_by_name name in
-      let sweep d =
-        fst (Sweep.Stp_sweep.sweep ~config:{ stp_config with sat_domains = d } net)
+      let sweep ?cache d =
+        Sweep.Stp_sweep.sweep
+          ~config:
+            {
+              stp_config with
+              sat_domains = d;
+              cache = Option.map Svc.Cache.ops cache;
+            }
+          net
       in
-      let r1 = sweep 1 in
+      let r1, _ = sweep 1 in
       let text1 = Aig.Aiger.write r1 in
       List.iter
         (fun d ->
-          if Aig.Aiger.write (sweep d) <> text1 then
+          if Aig.Aiger.write (fst (sweep d)) <> text1 then
             Alcotest.failf "%s: %d domains wrote different bytes than 1" name
               d)
+        [ 2; 4 ];
+      (* Cold cached sweeps, each on a fresh cache; then a 1-domain warm
+         sweep over the 2-domain cache asks only what was stored. *)
+      List.iter
+        (fun d ->
+          with_cache_dir @@ fun dir ->
+          let c = Svc.Cache.open_ dir in
+          if Aig.Aiger.write (fst (sweep ~cache:c d)) <> text1 then
+            Alcotest.failf
+              "%s: a cold cached sweep on %d domains wrote different bytes \
+               than the uncached one"
+              name d;
+          if d = 2 then begin
+            let warm, st = sweep ~cache:c 1 in
+            check (name ^ ": warm bytes") true (Aig.Aiger.write warm = text1);
+            check_int (name ^ ": warm misses") 0 st.Sweep.Stats.cache_misses;
+            check_int (name ^ ": warm rejected") 0
+              st.Sweep.Stats.cache_rejected
+          end)
         [ 2; 4 ];
       let _, st2 = Sweep.Stp_sweep.sweep r1 in
       if 100 * st2.Sweep.Stats.merges >= A.num_ands r1 then
@@ -987,18 +1027,6 @@ let test_fault_catalog_complete () =
 
 (* ---- the equivalence cache (Svc.Cache wired into the engine) ---- *)
 
-let with_cache_dir f =
-  let dir = Filename.temp_file "swcache" "" in
-  Sys.remove dir;
-  let rec rm p =
-    if (try Sys.is_directory p with Sys_error _ -> false) then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      try Unix.rmdir p with Unix.Unix_error _ -> ()
-    end
-    else try Sys.remove p with Sys_error _ -> ()
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
-
 let iter_cache_files dir f =
   Array.iter
     (fun sub ->
@@ -1012,7 +1040,8 @@ let iter_cache_files dir f =
 
 (* The cache tests' sweep: one initial word and 4-leaf windows leave
    plenty of pairs for the solver, and so for the cache. *)
-let cache_config ?(certify = false) ?(cache_paranoid = false) c =
+let cache_config ?(certify = false) ?(cache_paranoid = false)
+    ?(sat_domains = 1) c =
   {
     stp_config with
     initial_words = 1;
@@ -1020,6 +1049,7 @@ let cache_config ?(certify = false) ?(cache_paranoid = false) c =
     certify;
     cache = Some (Svc.Cache.ops c);
     cache_paranoid;
+    sat_domains;
   }
 
 let cache_sat_calls st =
@@ -1030,13 +1060,15 @@ let test_cache_cold_warm () =
      cold run's trajectory exactly — same merges, same result size, CEC
      equivalent — while answering every solver query from disk. *)
   List.iter
-    (fun (label, certify) ->
+    (fun (label, certify, sat_domains) ->
       with_cache_dir @@ fun dir ->
       let rng = Rng.create 0xCAC4EDL in
       let base = random_network rng ~pis:8 ~gates:150 ~pos:5 in
       let net = Gen.Redundant.inject ~seed:(Rng.int64 rng) ~fraction:0.5 base in
       let c = Svc.Cache.open_ dir in
-      let sweep () = Sweep.Stp_sweep.sweep ~config:(cache_config ~certify c) net in
+      let sweep () =
+        Sweep.Stp_sweep.sweep ~config:(cache_config ~certify ~sat_domains c) net
+      in
       let cold, stc = sweep () in
       let warm, stw = sweep () in
       check (label ^ ": cold function preserved") true
@@ -1056,7 +1088,11 @@ let test_cache_cold_warm () =
         (A.num_ands warm);
       check_int (label ^ ": warm run never solves") 0 (cache_sat_calls stw);
       check_int (label ^ ": nothing rejected") 0 stw.Sweep.Stats.cache_rejected)
-    [ ("plain", false); ("certified", true) ]
+    [
+      ("plain", false, 1);
+      ("certified", true, 1);
+      ("certified, 2 domains", true, 2);
+    ]
 
 let test_cache_conflict_limit_zero () =
   (* A conflict limit of 0 is a limit, cached or not: the solver pool
@@ -1082,18 +1118,25 @@ let test_cache_fault_matrix () =
   (* Corrupt-entry and torn-write faults strike the bytes on the way to
      disk; the next run must quarantine exactly those entries, count
      them as rejected, re-prove them, and still land on the cold run's
-     merges — an unproven merge must never come out of the cache. *)
+     merges — an unproven merge must never come out of the cache. On
+     two domains the pool members find and store concurrently. *)
   let rng = Rng.create 0xFA17CAL in
   let base = random_network rng ~pis:9 ~gates:180 ~pos:5 in
   let net = Gen.Redundant.inject ~seed:17L ~fraction:0.5 base in
   List.iter
-    (fun site_name ->
+    (fun (site_name, sat_domains) ->
       let site = Obs.Fault.register site_name in
       let fired = ref 0 and rejected = ref 0 in
       for seed = 1 to 5 do
         with_cache_dir @@ fun dir ->
         let c = Svc.Cache.open_ dir in
-        let sweep () = Sweep.Stp_sweep.sweep ~config:(cache_config c) net in
+        let sweep () =
+          Sweep.Stp_sweep.sweep ~config:(cache_config ~sat_domains c) net
+        in
+        let label what =
+          Printf.sprintf "%s, %d domains, seed %d: %s" site_name sat_domains
+            seed what
+        in
         let cold, stc =
           with_faults
             (Printf.sprintf "seed=%d,%s:0.5" seed site_name)
@@ -1104,22 +1147,16 @@ let test_cache_fault_matrix () =
         in
         (* Faults disarmed: whatever reached disk is now read back. *)
         let warm, stw = sweep () in
-        check
-          (Printf.sprintf "%s seed %d: cold function preserved" site_name seed)
-          true (exhaustive_equal net cold);
-        check
-          (Printf.sprintf "%s seed %d: warm function preserved" site_name seed)
-          true (exhaustive_equal net warm);
+        check (label "cold function preserved") true (exhaustive_equal net cold);
+        check (label "warm function preserved") true (exhaustive_equal net warm);
         (match Sweep.Cec.check net warm with
         | Sweep.Cec.Equivalent -> ()
-        | _ -> Alcotest.failf "%s seed %d: warm CEC failed" site_name seed);
-        check_int
-          (Printf.sprintf "%s seed %d: merges identical" site_name seed)
-          stc.Sweep.Stats.merges stw.Sweep.Stats.merges;
+        | _ -> Alcotest.fail (label "warm CEC failed"));
+        check_int (label "merges identical") stc.Sweep.Stats.merges
+          stw.Sweep.Stats.merges;
         (* Layering: every damaged entry the warm run touched was
            quarantined by the cache and counted rejected by the engine. *)
-        check_int
-          (Printf.sprintf "%s seed %d: rejected = quarantined" site_name seed)
+        check_int (label "rejected = quarantined")
           (Svc.Cache.counters c).Svc.Cache.c_quarantined
           stw.Sweep.Stats.cache_rejected;
         rejected := !rejected + stw.Sweep.Stats.cache_rejected
@@ -1128,7 +1165,9 @@ let test_cache_fault_matrix () =
         Alcotest.failf "%s never struck across the seed matrix" site_name;
       if !rejected = 0 then
         Alcotest.failf "%s: no damaged entry was ever rejected" site_name)
-    [ "cache.corrupt_entry"; "cache.torn_write" ]
+    (List.concat_map
+       (fun site -> [ (site, 1); (site, 2) ])
+       [ "cache.corrupt_entry"; "cache.torn_write" ])
 
 (* Rewrite every stored equivalence entry so that its proof is [proof],
    keeping it structurally valid: right key, recomputed checksum. *)
