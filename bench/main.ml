@@ -1,12 +1,14 @@
 (* Bechamel micro-benchmarks: one group per paper table plus ablation
    groups for the design choices DESIGN.md calls out.
 
-   - table1/*:    the four Table I engines on one mid-size benchmark
-   - parallel/*:  word-sharded domain parallelism swept over 1/2/4 domains
-   - kernel/*:    the compiled plan engine — compile vs. execute,
-                  instruction styles, 1/2/4 domains
+   - kernel/*:    Table I on one mid-size benchmark: the compiled plans
+                  priced as compile vs. execute, both LUT instruction
+                  styles, word-sharded over 1/2/4 domains
+   - parallel/*:  whole-sweep SAT dispatch over 1/2/4 solver domains
    - table2/*:    both sweepers on one redundant benchmark
    - cut-limit/*: Algorithm 1's [limit] parameter swept over 2..16
+   - algorithm1/*: mode s (cut, simulate the roots) against mode a
+   - resim/*:     counter-example resimulation, tail refresh vs. full
    - config/*:    engine-feature ablation (guided init, window refine)
    - tfi-bound/*: the candidate-comparison bound (paper's n = 1000)
    - window/*:    window leaf budget (paper: < 16)
@@ -47,41 +49,14 @@ let cut_targets =
   let arr = Array.of_list (List.rev !luts) in
   List.init 8 (fun i -> arr.(i * (Array.length arr / 8)))
 
-let table1 =
-  Test.make_grouped ~name:"table1"
-    [
-      Test.make ~name:"aig-bitwise"
-        (Staged.stage (fun () -> Sim.Bitwise.simulate_aig sim_aig sim_pats));
-      Test.make ~name:"aig-stp"
-        (Staged.stage (fun () -> Sim.Stp_sim.simulate_aig sim_aig sim_pats));
-      Test.make ~name:"lut6-bitwise"
-        (Staged.stage (fun () -> Sim.Bitwise.simulate_klut sim_lut sim_pats));
-      Test.make ~name:"lut6-stp"
-        (Staged.stage (fun () -> Sim.Stp_sim.simulate_klut sim_lut sim_pats));
-    ]
-
 let parallel =
-  (* Word-range sharding across OCaml domains, on the table1 fixture.
-     2048 patterns = 64 words split across the domains; the interesting
-     output is time(1 domain) / time(4 domains) per engine — roughly the
-     core count on an unloaded multicore box, and flat on one core. All
-     variants produce bit-identical tables, so only time moves. *)
+  (* Whole-sweep SAT dispatch across solver domains. On one core the
+     interesting output is the dispatch overhead vs. sweep:1; on a
+     multicore box, the SAT-phase speedup. Word-sharded simulation over
+     1/2/4 domains is kernel/exec-*. *)
   let doms = [ 1; 2; 4 ] in
   Test.make_grouped ~name:"parallel"
     [
-      Test.make_indexed ~name:"aig-bitwise" ~args:doms (fun d ->
-          Staged.stage (fun () ->
-              Sim.Bitwise.simulate_aig ~domains:d sim_aig sim_pats));
-      Test.make_indexed ~name:"lut6-bitwise" ~args:doms (fun d ->
-          Staged.stage (fun () ->
-              Sim.Bitwise.simulate_klut ~domains:d sim_lut sim_pats));
-      Test.make_indexed ~name:"lut6-stp" ~args:doms (fun d ->
-          Staged.stage (fun () ->
-              Sim.Stp_sim.simulate_klut ~domains:d sim_lut sim_pats));
-      (* Whole-sweep SAT dispatch across solver domains (the PR 7
-         tentpole). On one core the interesting output is the dispatch
-         overhead vs. sweep:1; on a multicore box, the SAT-phase
-         speedup. *)
       Test.make_indexed ~name:"sweep" ~args:doms (fun d ->
           Staged.stage (fun () ->
               Sweep.Stp_sweep.sweep
@@ -90,12 +65,11 @@ let parallel =
     ]
 
 let kernel =
-  (* The compiled-plan engine on its own: compilation priced separately
-     from execution, and the block executor's word sharding swept over
-     1/2/4 domains. The public simulate_* wrappers compile a fresh plan
-     per call, so exec-* vs. the table1/parallel groups shows the
-     compile overhead the sweep engine amortizes by patching one
-     long-lived plan. Both k-LUT instruction styles run on the same
+  (* Table I's simulators: compilation priced separately from
+     execution, and the block executor's word sharding swept over 1/2/4
+     domains — roughly the core count on an unloaded multicore box, and
+     flat on one core. All variants produce bit-identical tables, so
+     only time moves. Both k-LUT instruction styles run on the same
      executor, so lut6-stp vs. lut6-bitblast is purely the paper's
      cascade-vs-bit-blast instruction selection. *)
   let doms = [ 1; 2; 4 ] in
@@ -139,7 +113,11 @@ let cut_limit =
           let { Sim.Circuit_cut.network; node_map; _ } =
             Sim.Circuit_cut.cut cut_net ~limit ~targets:cut_targets
           in
-          let tbl = Sim.Stp_sim.simulate_klut network cut_pats in
+          let tbl =
+            Sim.Kernel.execute
+              (Sim.Kernel.compile_klut ~style:`Stp network)
+              cut_pats
+          in
           List.map (fun t -> tbl.(node_map.(t))) cut_targets))
 
 let config_ablation =
@@ -175,23 +153,25 @@ let window_leaves =
 let mode_s =
   (* Algorithm 1's reason to exist: getting a handful of signatures via
      the circuit cut (mode s) against simulating every node (mode a).
-     The cut itself amortizes across repeated simulations (that is how
-     the sweeper uses it), so it is built once in the fixture; a
-     separate entry prices the cut construction. *)
+     The cut and both plans amortize across repeated simulations (that
+     is how the sweeper uses them), so they are built once in the
+     fixture; a separate entry prices cut and compile together. *)
   let cut =
     Sim.Circuit_cut.cut cut_net ~limit:9 ~targets:cut_targets
+  in
+  let all_plan = Sim.Kernel.compile_klut ~style:`Stp cut_net in
+  let roots_plan =
+    Sim.Kernel.compile_klut ~style:`Stp cut.Sim.Circuit_cut.network
   in
   Test.make_grouped ~name:"algorithm1"
     [
       Test.make ~name:"mode-a-all-nodes"
-        (Staged.stage (fun () -> Sim.Stp_sim.simulate_klut cut_net cut_pats));
+        (Staged.stage (fun () -> Sim.Kernel.execute all_plan cut_pats));
       Test.make ~name:"mode-s-simulate-roots"
-        (Staged.stage (fun () ->
-             Sim.Stp_sim.simulate_klut cut.Sim.Circuit_cut.network cut_pats));
+        (Staged.stage (fun () -> Sim.Kernel.execute roots_plan cut_pats));
       Test.make ~name:"mode-s-including-cut"
         (Staged.stage (fun () ->
-             Sim.Stp_sim.simulate_specified cut_net cut_pats
-               ~targets:cut_targets));
+             Sim.Circuit_cut.simulate cut_net cut_pats ~targets:cut_targets));
     ]
 
 let incremental =
@@ -231,15 +211,16 @@ let incremental =
       Test.make ~name:"full-resim"
         (Staged.stage (fun () ->
              let pats = base_pats () in
-             ignore (Sim.Bitwise.simulate_aig sim_aig pats);
+             let plan = Sim.Kernel.compile_aig sim_aig in
+             ignore (Sim.Kernel.execute plan pats);
              appends 32 (Sim.Patterns.add_pattern pats);
-             ignore (Sim.Bitwise.simulate_aig sim_aig pats)));
+             ignore (Sim.Kernel.execute plan pats)));
     ]
 
 let all_tests =
   Test.make_grouped ~name:"stp_sweep"
     [
-      table1; parallel; kernel; table2; cut_limit; config_ablation; tfi_bound;
+      parallel; kernel; table2; cut_limit; config_ablation; tfi_bound;
       window_leaves; mode_s; incremental;
     ]
 

@@ -16,8 +16,8 @@ let () =
 
   (* Fast path: random simulation comparing output signatures. *)
   let pats = Sim.Patterns.random ~seed:3L ~num_pis:64 ~num_patterns:4096 in
-  let t_r = Sim.Bitwise.simulate_aig rca pats in
-  let t_c = Sim.Bitwise.simulate_aig cla pats in
+  let simulate net = Sim.Kernel.execute (Sim.Kernel.compile_aig net) pats in
+  let t_r = simulate rca and t_c = simulate cla in
   let sig_of net tbl o =
     Sim.Bitwise.po_signature tbl ~num_patterns:4096 ~lit:(Aig.Network.po net o)
   in

@@ -1,5 +1,5 @@
 (* Quickstart: build a small circuit, map it to LUTs, simulate it with
-   both engines, sweep it, and check the result.
+   both instruction styles, sweep it, and check the result.
 
      dune exec examples/quickstart.exe
 *)
@@ -40,18 +40,21 @@ let () =
   ignore (Aig.Network.add_po net eq2);
   Format.printf "built:    %a@." Aig.Network.pp_stats net;
 
-  (* 2. Map to 4-LUTs and simulate with both engines. *)
+  (* 2. Map to 4-LUTs and simulate: compile a kernel plan once per
+     instruction style (STP selection cascades, or the per-bit baseline),
+     then execute it. *)
   let lut = Klut.Mapper.map ~k:4 net in
   Format.printf "mapped:   %a@." Klut.Network.pp_stats lut;
   let pats = Sim.Patterns.random ~seed:7L ~num_pis:8 ~num_patterns:1024 in
-  let bitwise = Sim.Bitwise.simulate_klut lut pats in
-  let stp = Sim.Stp_sim.simulate_klut lut pats in
-  assert (bitwise = stp);
+  let simulate style =
+    Sim.Kernel.execute (Sim.Kernel.compile_klut ~style lut) pats
+  in
+  assert (simulate `Bitblast = simulate `Stp);
   Format.printf "simulated 1024 patterns; engines agree on all %d nodes@."
     (Klut.Network.num_nodes lut);
 
   (* 3. Sweep: the two equality implementations must merge. *)
-  let swept, stats = sweep ~engine:`Stp net in
+  let swept, stats = Sweep.Stp_sweep.sweep net in
   Format.printf "swept:    %a@." Aig.Network.pp_stats swept;
   Format.printf "stats:    %a@." Sweep.Stats.pp stats;
 

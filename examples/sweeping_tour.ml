@@ -20,7 +20,8 @@ let () =
      candidate equivalence classes. *)
   let pats = Sim.Patterns.random ~seed:1L ~num_pis:(Aig.Network.num_pis net)
       ~num_patterns:256 in
-  let tbl = Sim.Bitwise.simulate_aig net pats in
+  let plan = Sim.Kernel.compile_aig net in
+  let tbl = Sim.Kernel.execute plan pats in
   let classes = Sweep.Equiv_classes.create ~num_patterns:256 in
   Aig.Network.iter_nodes net (fun nd -> Sweep.Equiv_classes.add classes nd tbl.(nd));
   Format.printf "after 256 random patterns: %d candidate classes, %d nodes in them@."
@@ -29,7 +30,7 @@ let () =
 
   (* Step 2: SAT-guided patterns thin the false candidates. *)
   let guided = Sweep.Guided_patterns.generate net pats ~seed:2L in
-  let tbl = Sim.Bitwise.simulate_aig net pats in
+  let tbl = Sim.Kernel.execute plan pats in
   let classes = Sweep.Equiv_classes.create ~num_patterns:(Sim.Patterns.num_patterns pats) in
   Aig.Network.iter_nodes net (fun nd -> Sweep.Equiv_classes.add classes nd tbl.(nd));
   Format.printf

@@ -60,7 +60,7 @@ let () =
     roots;
 
   (* Mode s: signatures of the specified nodes 7 and 8 only. *)
-  let specified = Sim.Stp_sim.simulate_specified net pats ~targets:[ n7; n8 ] in
+  let specified = Sim.Circuit_cut.simulate net pats ~targets:[ n7; n8 ] in
   let show (node, s) =
     let bits =
       String.init
@@ -83,7 +83,9 @@ let () =
          node's support. *)
       ignore e;
       let tbl =
-        Sim.Stp_sim.simulate_klut net (Sim.Patterns.exhaustive ~num_pis:5)
+        Sim.Kernel.execute
+          (Sim.Kernel.compile_klut ~style:`Stp net)
+          (Sim.Patterns.exhaustive ~num_pis:5)
       in
       let bits =
         String.init (1 lsl pis) (fun i ->

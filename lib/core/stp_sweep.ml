@@ -1,10 +1,11 @@
 (** Semi-tensor-product circuit simulation and SAT-sweeping.
 
-    Umbrella module: re-exports every sub-library under one namespace and
-    offers the two high-level entry points most users want — simulate a
-    k-LUT network with a chosen engine, and sweep an AIG with a chosen
-    engine. See the README for a tour and DESIGN.md for the paper
-    mapping. *)
+    Umbrella module: re-exports every sub-library under one namespace.
+    Simulate by compiling a plan once and executing it
+    ({!Sim.Kernel.compile_aig} or {!Sim.Kernel.compile_klut}, then
+    {!Sim.Kernel.execute}); sweep with {!Sweep.Stp_sweep.sweep} or the
+    [&fraig] baseline {!Sweep.Fraig.sweep}. See the README for a tour and
+    DESIGN.md for the paper mapping. *)
 
 module Util = Sutil
 module Obs = Obs
@@ -22,21 +23,3 @@ module Pass = Pass
 module Script = Script
 
 let version = "1.0.0"
-
-type sim_engine = [ `Stp | `Bitwise ]
-type sweep_engine = [ `Stp | `Fraig ]
-
-let simulate_klut ?(engine = `Stp) network patterns =
-  match (engine : sim_engine) with
-  | `Stp -> Sim.Stp_sim.simulate_klut network patterns
-  | `Bitwise -> Sim.Bitwise.simulate_klut network patterns
-
-let simulate_aig ?(engine = `Stp) network patterns =
-  match (engine : sim_engine) with
-  | `Stp -> Sim.Stp_sim.simulate_aig network patterns
-  | `Bitwise -> Sim.Bitwise.simulate_aig network patterns
-
-let sweep ?(engine = `Stp) network =
-  match (engine : sweep_engine) with
-  | `Stp -> Sweep.Stp_sweep.sweep network
-  | `Fraig -> Sweep.Fraig.sweep network

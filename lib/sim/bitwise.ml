@@ -1,18 +1,3 @@
-(* Baseline engines, as thin wrappers over the compiled kernel plan
-   ({!Kernel}): the AIG path compiles to AND kernels, the k-LUT path to
-   matrix passes — the per-bit fanin gather + table lookup an
-   off-the-shelf bitwise simulator does ("extracting individual bits of
-   the LUT and simulating them separately"). Domain sharding, block
-   tiling and tail masking all live in the kernel executor, so these
-   tables are bit-identical to every other engine's for the same
-   function. *)
-
-let simulate_aig ?(domains = 1) net pats =
-  Kernel.execute ~domains (Kernel.compile_aig net) pats
-
-let simulate_klut ?(domains = 1) net pats =
-  Kernel.execute ~domains (Kernel.compile_klut ~style:`Bitblast net) pats
-
 let po_signature tbl ~num_patterns ~lit =
   let module L = Aig.Lit in
   let s = tbl.(L.node lit) in

@@ -1,31 +1,10 @@
-(** Bit-parallel reference simulators (the paper's baseline).
+(** Output-literal views of AIG signature tables.
 
-    [simulate_aig] is the standard word-parallel AIG simulation every
-    modern package has: one AND/XOR word operation per node per word —
-    Table I's "Mockturtle [T_A]" column.
-
-    [simulate_klut] is the way an off-the-shelf bitwise simulator handles
-    k-LUT networks ("most simulators are limited to extracting individual
-    bits of the LUT and simulating them separately"): for every pattern it
-    pulls one bit out of each fanin signature, forms the LUT index and
-    looks the value up — Table I's "Mockturtle [T_L]" column.
-
-    Both engines are thin wrappers over the compiled kernel plan
-    ({!Kernel}): the AIG path compiles to AND kernels, the k-LUT path to
-    matrix passes, executed block-tiled by the shared executor.
-
-    Both engines accept [?domains]: with [n > 1] the packed pattern words
-    are split into [n] contiguous ranges and each range is simulated in
-    its own domain (each domain writes a disjoint word slice of every
-    node's signature), so the tables are bit-identical to the sequential
-    run. Default 1 = sequential. *)
-
-val simulate_aig : ?domains:int -> Aig.Network.t -> Patterns.t -> Signature.table
-(** Signature per node id. PIs take their pattern rows; constant node is
-    all zeros; complemented edges are free word inversions. *)
-
-val simulate_klut : ?domains:int -> Klut.Network.t -> Patterns.t -> Signature.table
+    Simulation itself is {!Kernel}'s job: compile a plan once, execute
+    it. This module keeps only [po_signature], under the name the
+    repository benchmark ([perfbench/harness.ml]) reads it by. *)
 
 val po_signature :
   Signature.table -> num_patterns:int -> lit:Aig.Lit.t -> int array
-(** Output-literal view of an AIG signature table. *)
+(** The signature of an output literal: the node's row, complemented
+    for a complemented literal. Always a fresh copy. *)

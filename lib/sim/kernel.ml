@@ -390,8 +390,8 @@ let run_sharded ?(domains = 1) t pats tbl ~inst_lo ~inst_hi ~lo ~hi =
 let alloc_table t nw = Array.init t.n (fun _ -> Array.make nw 0)
 
 let execute ?(domains = 1) t pats =
-  let nw = max 1 (Patterns.num_words pats) in
-  let tbl = alloc_table t nw in
+  let nw = Patterns.num_words pats in
+  let tbl = alloc_table t (max 1 nw) in
   run_sharded ~domains t pats tbl ~inst_lo:0 ~inst_hi:t.n ~lo:0 ~hi:nw;
   let np = Patterns.num_patterns pats in
   Array.iter (fun s -> Signature.num_patterns_mask np s) tbl;

@@ -1,31 +1,43 @@
-(** Compiled simulation kernel plans — the unified engine behind every
-    simulator in this library.
+(** Compiled simulation kernel plans — the library's one simulator
+    (Section III of the paper).
 
-    A {e plan} is the network compiled once into a flat instruction
-    arena (parallel int arrays, no per-node OCaml blocks): one
-    instruction per node, in creation order (topological, so the arena
-    is its own levelization). Three kernel shapes cover all four public
-    simulators:
+    The paper's simulator holds each LUT's function as a logic matrix
+    and produces a node's signature by selecting matrix columns over
+    packed pattern words, with no per-pattern Boolean evaluation. Here
+    that is two steps: {e compile} a network once into a plan
+    ({!compile_aig}, or {!compile_klut} with an instruction [style]),
+    then {!execute} the plan on every pattern set. Every caller in the
+    library, the CLIs and the benches goes through these two steps;
+    {!Circuit_cut.simulate} is Algorithm 1's mode [s] on top of them.
 
-    - an {b AND kernel} — word AND with complement masks folded in
-      (both AIG engines);
+    A {e plan} is the network compiled into a flat instruction arena
+    (parallel int arrays, no per-node OCaml blocks): one instruction per
+    node, in creation order (topological, so the arena is its own
+    levelization). Three instruction shapes:
+
+    - an {b AND kernel} — word AND with complement masks folded in (an
+      AND's 2-input structural matrix selection over packed words {e is}
+      the AND of the words, hence the paper's [T_A ~ 1x]);
     - a {b compiled STP selection cascade} ({!Stp.Cascade}) — the
       paper's column-half selections, shared per distinct truth table
-      through a bounded {!Cache} (STP engine, narrow LUTs);
+      through a bounded {!Cache} ([`Stp] style, narrow LUTs);
     - a {b matrix pass} — per-bit fanin gather into a column index of
-      the packed truth table. The baseline bit-blast LUT treatment and
-      the STP wide-LUT fallback are the same gather loop, so the
-      library has exactly one audited inner loop for it.
+      the packed truth table. The baseline bit-blast LUT treatment
+      ([`Bitblast] style, "extracting individual bits of the LUT and
+      simulating them separately") and the [`Stp] wide-LUT fallback are
+      the same gather loop, so the library has exactly one audited inner
+      loop for it.
 
     The {e block executor} runs a plan over contiguous multi-word
     pattern blocks: instruction-major within each block so row slices
     stay cache-resident, sharded across domains at plan granularity
-    (each domain executes the whole plan over its own word slice).
-    Plans are growable in place — {!extend_aig} appends instructions
-    for nodes created since the last compilation, and {!run} accepts
-    instruction and word sub-ranges, which is what the sweep engine's
-    incremental patching (append nodes / refresh stale trailing words)
-    is built from. *)
+    (each domain executes the whole plan over its own word slice, so
+    every [domains] value gives bit-identical tables). Plans are
+    growable in place — {!extend_aig} appends instructions for nodes
+    created since the last compilation, and {!run} accepts instruction
+    and word sub-ranges, which is what the sweep engine's incremental
+    patching (append nodes / refresh stale trailing words) is built
+    from. *)
 
 (** Bounded cascade-compilation cache, shared across plans. *)
 module Cache : sig
@@ -80,7 +92,8 @@ val compile_klut :
 val execute : ?domains:int -> t -> Patterns.t -> Signature.table
 (** Allocate a fresh table, run the whole plan over all pattern words
     ([domains] contiguous word shards), mask tails. Bit-identical for
-    every [domains] value. *)
+    every [domains] value. Rows hold [max 1 (num_words pats)] words: an
+    empty pattern set gives one zero word per node. *)
 
 val run :
   t ->

@@ -39,7 +39,7 @@ let check ?(seed = 0xCECL) ?(sim_words = 16) ?conflict_limit
         ~num_patterns:(32 * sim_words)
     in
     let np = Sim.Patterns.num_patterns pats in
-    let tbl = Sim.Bitwise.simulate_aig miter pats in
+    let tbl = Sim.Kernel.execute (Sim.Kernel.compile_aig miter) pats in
     let lit_sig l = Sim.Bitwise.po_signature tbl ~num_patterns:np ~lit:l in
     let sim_diff = ref None in
     Array.iteri

@@ -782,8 +782,8 @@ let run ?(config = stp_config) old_net =
       P.random ~seed:(Rng.int64 rng) ~num_pis ~num_patterns:(32 * 8)
     in
     let np = P.num_patterns vpats in
-    let ta = Sim.Bitwise.simulate_aig old_net vpats in
-    let tb = Sim.Bitwise.simulate_aig result vpats in
+    let simulate net = Sim.Kernel.execute (Sim.Kernel.compile_aig net) vpats in
+    let ta = simulate old_net and tb = simulate result in
     Array.iteri
       (fun o la ->
         let sa = Sim.Bitwise.po_signature ta ~num_patterns:np ~lit:la in

@@ -46,8 +46,11 @@ let generate ?(max_queries = 256) ?(low_ratio = 0.02) ?conflict_limit
       false
     | Sat.Tseitin.Undetermined | Sat.Tseitin.Uncertified _ -> false
   in
+  (* The network does not change here, only the pattern set grows: one
+     plan serves both rounds. *)
+  let plan = Sim.Kernel.compile_aig net in
   let round threshold =
-    let tbl = Sim.Bitwise.simulate_aig net pats in
+    let tbl = Sim.Kernel.execute plan pats in
     let n = np () in
     let lo = int_of_float (ceil (threshold *. float_of_int n)) in
     A.iter_ands net (fun nd ->

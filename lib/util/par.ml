@@ -1,5 +1,3 @@
-let available () = Domain.recommended_domain_count ()
-
 let split ~chunks n =
   if n <= 0 then [||]
   else begin
@@ -127,7 +125,7 @@ module Pool = struct
       Mutex.lock t.m;
       if t.stopped then begin
         Mutex.unlock t.m;
-        invalid_arg "Par.Pool.run: pool is shut down"
+        invalid_arg "Par.Pool.drain: pool is shut down"
       end;
       t.job <- Some f;
       t.failure <- None;
@@ -147,22 +145,6 @@ module Pool = struct
       | Some e, _ | None, Some e -> raise e
       | None, None -> ()
     end
-
-  let for_ranges t n f =
-    let ranges = split ~chunks:t.domains n in
-    match Array.length ranges with
-    | 0 -> ()
-    | 1 ->
-      let lo, hi = ranges.(0) in
-      f ~lo ~hi
-    | k ->
-      (* Fewer ranges than pool members when n < domains: the extra
-         members run an empty job. *)
-      run t (fun i ->
-          if i < k then begin
-            let lo, hi = ranges.(i) in
-            f ~lo ~hi
-          end)
 
   let drain t n f =
     if n > 0 then
@@ -186,14 +168,4 @@ module Pool = struct
             in
             go ())
       end
-
-  let with_pool ~domains f =
-    let t = create ~domains in
-    match f t with
-    | v ->
-      shutdown t;
-      v
-    | exception e ->
-      shutdown t;
-      raise e
 end

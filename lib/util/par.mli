@@ -1,18 +1,16 @@
 (** Fork-join parallelism over OCaml 5 domains.
 
-    The simulators shard their packed pattern words into contiguous
-    ranges and evaluate each range in its own domain; this module holds
-    the shared machinery: balanced range splitting, a one-shot fork-join
-    [run], and a persistent worker {!Pool} for call sites that fan out
-    repeatedly (the sweep engine resimulates after every counter-example
-    batch).
+    The simulation kernel shards its packed pattern words into
+    contiguous ranges and runs each range in its own domain, one
+    one-shot fork-join ({!for_ranges}) per execution — the sweep
+    engine's resimulation after every counter-example batch included.
+    The daemon starts its worker domains with {!run}. Only the sweep
+    engine's SAT dispatch fans out repeatedly, once per wave over tasks
+    of uneven cost, so it keeps a persistent worker {!Pool} and
+    {!Pool.drain}s a work queue through it.
 
     Workers communicate only through disjoint slices of pre-allocated
     arrays, so no locking is needed in the parallel sections themselves. *)
-
-val available : unit -> int
-(** Domains the runtime recommends for this machine
-    ([Domain.recommended_domain_count]). *)
 
 val split : chunks:int -> int -> (int * int) array
 (** [split ~chunks n] partitions [0, n) into at most [chunks] contiguous
@@ -32,8 +30,8 @@ val for_ranges : domains:int -> int -> (lo:int -> hi:int -> unit) -> unit
     range results. *)
 
 (** A persistent pool of worker domains, for repeated fan-outs without
-    paying a spawn per call. Not reentrant: do not call {!Pool.run} from
-    inside a job. *)
+    paying a spawn per call. Not reentrant: do not call {!Pool.drain}
+    from inside a task. *)
 module Pool : sig
   type t
 
@@ -45,11 +43,6 @@ module Pool : sig
       is re-raised. *)
 
   val domains : t -> int
-
-  val run : t -> (int -> unit) -> unit
-  (** Like {!val:run} with the pool's width, reusing the pooled workers. *)
-
-  val for_ranges : t -> int -> (lo:int -> hi:int -> unit) -> unit
 
   val drain : t -> int -> (domain:int -> int -> unit) -> unit
   (** [drain t n f] runs [f ~domain i] for every [i] in [0, n), the pool
@@ -64,7 +57,4 @@ module Pool : sig
   val shutdown : t -> unit
   (** Joins the workers. The pool must not be used afterwards;
       [shutdown] twice is harmless. *)
-
-  val with_pool : domains:int -> (t -> 'a) -> 'a
-  (** [create], apply, then [shutdown] (also on exception). *)
 end

@@ -1,38 +1,9 @@
-(* Umbrella-module and Report tests: the public API surface users hit
-   first, plus the helpers the harnesses rely on. *)
+(* Umbrella-module and Report tests: the version string, plus the
+   helpers the harnesses rely on. *)
 
 open Stp_sweep
 
 let check = Alcotest.(check bool)
-
-let small_net () =
-  let net = Aig.Network.create () in
-  let a = Aig.Network.add_pi net in
-  let b = Aig.Network.add_pi net in
-  ignore (Aig.Network.add_po net (Aig.Network.add_xor net a b));
-  net
-
-let test_facade_sim () =
-  let net = small_net () in
-  let lut = Klut.Mapper.map ~k:4 net in
-  let pats = Sim.Patterns.random ~seed:1L ~num_pis:2 ~num_patterns:64 in
-  let a = simulate_klut ~engine:`Stp lut pats in
-  let b = simulate_klut ~engine:`Bitwise lut pats in
-  check "engines agree" true (a = b);
-  let c = simulate_aig ~engine:`Stp net pats in
-  let d = simulate_aig ~engine:`Bitwise net pats in
-  check "aig engines agree" true (c = d)
-
-let test_facade_sweep () =
-  let net =
-    Gen.Redundant.inject ~seed:1L ~fraction:0.5
-      (Gen.Arith.ripple_adder ~width:8)
-  in
-  List.iter
-    (fun engine ->
-      let swept, _stats = sweep ~engine net in
-      check "equivalent" true (Sweep.Cec.check net swept = Sweep.Cec.Equivalent))
-    [ `Stp; `Fraig ]
 
 let test_report_geomean () =
   let g = Report.geomean [ 2.; 8. ] in
@@ -50,11 +21,6 @@ let test_version () = check "version" true (String.length version > 0)
 let () =
   Alcotest.run "core"
     [
-      ( "facade",
-        [
-          Alcotest.test_case "simulate" `Quick test_facade_sim;
-          Alcotest.test_case "sweep" `Quick test_facade_sweep;
-        ] );
       ( "report",
         [
           Alcotest.test_case "geomean" `Quick test_report_geomean;

@@ -1,8 +1,10 @@
-(* Simulator tests: the bitwise baseline, the STP engine, the circuit-cut
-   algorithm, and exhaustive windows. The key properties: every engine
-   computes identical signatures, and mode-s simulation (cut + simulate
-   roots only) matches mode-a on the requested nodes. Includes the
-   paper's Fig. 1 / Section III-C example. *)
+(* Simulator tests: kernel plans (the AIG plan and both k-LUT
+   instruction styles), the circuit-cut algorithm, and exhaustive
+   windows. The key properties: every plan computes the naive
+   evaluator's signatures, the styles agree bit-exactly, and mode-s
+   simulation (cut + simulate roots only) matches mode-a on the
+   requested nodes. Includes the paper's Fig. 1 / Section III-C
+   example. *)
 
 module A = Aig.Network
 module L = Aig.Lit
@@ -105,6 +107,11 @@ let random_klut rng ~pis ~luts =
   List.iteri (fun i n -> if i < 3 then ignore (K.add_po net n (i mod 2 = 1))) !nodes;
   net
 
+let aig_table net pats = Sim.Kernel.execute (Sim.Kernel.compile_aig net) pats
+
+let klut_table ?domains style net pats =
+  Sim.Kernel.execute ?domains (Sim.Kernel.compile_klut ~style net) pats
+
 (* ---- AIG simulation ---- *)
 
 let test_bitwise_aig_vs_eval () =
@@ -112,23 +119,13 @@ let test_bitwise_aig_vs_eval () =
   for _ = 1 to 10 do
     let net = random_aig rng ~pis:5 ~gates:30 ~pos:3 in
     let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:5 ~num_patterns:70 in
-    let tbl = Sim.Bitwise.simulate_aig net pats in
+    let tbl = aig_table net pats in
     for p = 0 to 69 do
       let v = eval_aig net (P.pattern pats p) in
       A.iter_nodes net (fun nd ->
           if Sg.get tbl.(nd) p <> v.(nd) then
             Alcotest.failf "bitwise AIG sim wrong at node %d pattern %d" nd p)
     done
-  done
-
-let test_stp_aig_matches_bitwise () =
-  let rng = Rng.create 13L in
-  for _ = 1 to 10 do
-    let net = random_aig rng ~pis:6 ~gates:50 ~pos:3 in
-    let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:6 ~num_patterns:130 in
-    let a = Sim.Bitwise.simulate_aig net pats in
-    let b = Sim.Stp_sim.simulate_aig net pats in
-    check "equal tables" true (a = b)
   done
 
 (* ---- k-LUT simulation ---- *)
@@ -138,8 +135,8 @@ let test_klut_engines_agree () =
   for _ = 1 to 15 do
     let net = random_klut rng ~pis:6 ~luts:40 in
     let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:6 ~num_patterns:99 in
-    let naive = Sim.Bitwise.simulate_klut net pats in
-    let stp = Sim.Stp_sim.simulate_klut net pats in
+    let naive = klut_table `Bitblast net pats in
+    let stp = klut_table `Stp net pats in
     check "engines agree" true (naive = stp)
   done
 
@@ -147,7 +144,7 @@ let test_klut_sim_vs_eval () =
   let rng = Rng.create 41L in
   let net = random_klut rng ~pis:5 ~luts:25 in
   let pats = P.exhaustive ~num_pis:5 in
-  let tbl = Sim.Stp_sim.simulate_klut net pats in
+  let tbl = klut_table `Stp net pats in
   (* Evaluate node-by-node per pattern. *)
   for p = 0 to 31 do
     let inputs = P.pattern pats p in
@@ -170,8 +167,8 @@ let test_mapped_matches_aig () =
     let net = random_aig rng ~pis:6 ~gates:40 ~pos:4 in
     let lut = Klut.Mapper.map ~k:4 net in
     let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:6 ~num_patterns:64 in
-    let atbl = Sim.Bitwise.simulate_aig net pats in
-    let ltbl = Sim.Stp_sim.simulate_klut lut pats in
+    let atbl = aig_table net pats in
+    let ltbl = klut_table `Stp lut pats in
     for o = 0 to A.num_pos net - 1 do
       let al = A.po net o in
       let asig =
@@ -238,9 +235,9 @@ let test_circuit_cut_function_preserved () =
     [ "0101010101"; "1010101010"; "1111100000"; "0000011111"; "0011001100" ]
   in
   let pats = P.of_rows rows in
-  let full = Sim.Stp_sim.simulate_klut net pats in
+  let full = klut_table `Stp net pats in
   let specified =
-    Sim.Stp_sim.simulate_specified net pats ~targets:[ n7; n8; n10; n11 ]
+    Sim.Circuit_cut.simulate net pats ~targets:[ n7; n8; n10; n11 ]
   in
   List.iter
     (fun (node, s) ->
@@ -253,7 +250,7 @@ let test_circuit_cut_random () =
   for _ = 1 to 15 do
     let net = random_klut rng ~pis:6 ~luts:30 in
     let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:6 ~num_patterns:50 in
-    let full = Sim.Stp_sim.simulate_klut net pats in
+    let full = klut_table `Stp net pats in
     (* Pick a few random LUT targets. *)
     let luts = ref [] in
     K.iter_luts net (fun n -> luts := n :: !luts);
@@ -262,7 +259,7 @@ let test_circuit_cut_random () =
       List.init 4 (fun _ -> luts.(Rng.int rng (Array.length luts)))
       |> List.sort_uniq compare
     in
-    let result = Sim.Stp_sim.simulate_specified net pats ~targets in
+    let result = Sim.Circuit_cut.simulate net pats ~targets in
     List.iter
       (fun (node, s) ->
         if s <> full.(node) then Alcotest.failf "node %d differs" node)
@@ -317,7 +314,7 @@ let test_incremental_matches_full () =
       P.add_pattern pats (Array.init 6 (fun _ -> Rng.bool rng))
     done;
     let got = tail_refresh plan pats tbl ~covered:50 in
-    let full = Sim.Bitwise.simulate_aig net pats in
+    let full = Sim.Kernel.execute plan pats in
     A.iter_nodes net (fun nd ->
         if got.(nd) <> full.(nd) then
           Alcotest.failf "incremental differs at node %d" nd)
@@ -337,7 +334,7 @@ let test_incremental_is_incremental () =
   done;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) 0x5A5A5A5A) tbl;
   let got = tail_refresh plan pats tbl ~covered:320 in
-  let full = Sim.Bitwise.simulate_aig net pats in
+  let full = Sim.Kernel.execute plan pats in
   check_int "patterns counted" 352 (P.num_patterns pats);
   A.iter_nodes net (fun nd ->
       if Array.sub got.(nd) 0 10 <> Array.make 10 0x5A5A5A5A then
@@ -365,19 +362,16 @@ let prop_parallel_aig (seed, domains, np) =
   let rng = Rng.create seed in
   let net = random_aig rng ~pis:6 ~gates:50 ~pos:3 in
   let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:6 ~num_patterns:np in
-  let ref_bitwise = Sim.Bitwise.simulate_aig net pats in
-  Sim.Bitwise.simulate_aig ~domains net pats = ref_bitwise
-  && Sim.Stp_sim.simulate_aig ~domains net pats
-     = Sim.Stp_sim.simulate_aig net pats
+  let plan = Sim.Kernel.compile_aig net in
+  Sim.Kernel.execute ~domains plan pats = Sim.Kernel.execute plan pats
 
 let prop_parallel_klut (seed, domains, np) =
   let rng = Rng.create seed in
   let net = random_klut rng ~pis:6 ~luts:40 in
   let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:6 ~num_patterns:np in
-  let ref_stp = Sim.Stp_sim.simulate_klut net pats in
-  Sim.Stp_sim.simulate_klut ~domains net pats = ref_stp
-  && Sim.Bitwise.simulate_klut ~domains net pats
-     = Sim.Bitwise.simulate_klut net pats
+  List.for_all
+    (fun style -> klut_table ~domains style net pats = klut_table style net pats)
+    [ `Stp; `Bitblast ]
 
 let test_par_split () =
   for n = 0 to 130 do
@@ -398,20 +392,25 @@ let test_par_split () =
   done
 
 let test_pool_reuse () =
-  Sutil.Par.Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check int) "width" 3 (Sutil.Par.Pool.domains pool);
-      (* Several jobs through the same workers; each job writes disjoint
-         slots, sums checked after the join. *)
-      for round = 1 to 5 do
-        let slots = Array.make 3 0 in
-        Sutil.Par.Pool.run pool (fun i -> slots.(i) <- round * (i + 1));
-        Alcotest.(check int)
-          (Printf.sprintf "round %d" round)
-          (round * 6)
-          (Array.fold_left ( + ) 0 slots)
-      done;
-      Sutil.Par.Pool.for_ranges pool 100 (fun ~lo ~hi ->
-          if lo < 0 || hi > 100 then Alcotest.fail "range out of bounds"))
+  let module Pool = Sutil.Par.Pool in
+  let pool = Pool.create ~domains:3 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  Alcotest.(check int) "width" 3 (Pool.domains pool);
+  (* Several drains through the same workers: every task runs exactly
+     once, on a pool member, and writes only its own slot. *)
+  for round = 1 to 5 do
+    let n = 7 * round in
+    let writes = Array.make n 0 and ran_on = Array.make n (-1) in
+    Pool.drain pool n (fun ~domain i ->
+        writes.(i) <- writes.(i) + 1;
+        ran_on.(i) <- domain);
+    Array.iteri
+      (fun i w ->
+        if w <> 1 then Alcotest.failf "round %d: slot %d written %d times" round i w;
+        if ran_on.(i) < 0 || ran_on.(i) >= 3 then
+          Alcotest.failf "round %d: slot %d ran on domain %d" round i ran_on.(i))
+      writes
+  done
 
 let test_pool_spawn_failure () =
   (* More domains than the runtime allows: the spawn fails part-way, and
@@ -439,21 +438,23 @@ let test_compile_cache () =
   ignore (K.add_po net e false);
   let pats = P.random ~seed:9L ~num_pis:4 ~num_patterns:77 in
   let cache = C.create () in
-  let t1 = Sim.Stp_sim.simulate_klut ~cache net pats in
+  let stp () =
+    Sim.Kernel.execute (Sim.Kernel.compile_klut ~cache ~style:`Stp net) pats
+  in
+  let t1 = stp () in
   check_int "misses = distinct functions" 2 (C.misses cache);
   check_int "hits = shared functions" 3 (C.hits cache);
   (* Re-simulating with the same cache recompiles nothing. *)
-  let t2 = Sim.Stp_sim.simulate_klut ~cache net pats in
+  let t2 = stp () in
   check_int "second pass misses" 2 (C.misses cache);
   check_int "second pass hits" 8 (C.hits cache);
   check "cached result identical" true (t1 = t2);
-  check "matches bitwise" true (t1 = Sim.Bitwise.simulate_klut net pats)
+  check "matches bitwise" true (t1 = klut_table `Bitblast net pats)
 
 (* ---- kernel plans ---- *)
 
-(* The kernel is the single engine behind every simulator, so its tests
-   compare plans against the naive per-pattern reference directly —
-   comparing against the thin wrappers would be circular. *)
+(* The kernel is the library's one simulator, so its tests compare
+   plans against the naive per-pattern reference directly. *)
 
 let arb_kernel_case =
   QCheck.make
@@ -567,7 +568,7 @@ let prop_incremental_sequences (seed, steps) =
         P.add_pattern pats (Array.init 5 (fun _ -> Rng.bool rng))
       done;
       tbl := tail_refresh plan pats !tbl ~covered;
-      !tbl = Sim.Bitwise.simulate_aig net pats)
+      !tbl = Sim.Kernel.execute plan pats)
     steps
 
 let test_kernel_cache_bound () =
@@ -589,8 +590,36 @@ let test_kernel_cache_bound () =
   check_int "evictions" 3 (Sim.Kernel.Cache.evictions cache);
   check "bounded" true (Sim.Kernel.Cache.length cache <= 2);
   (* Eviction only forgets compilations, never changes results. *)
-  check "results unaffected" true
-    (tbl = Sim.Bitwise.simulate_klut net pats)
+  check "results unaffected" true (tbl = klut_table `Bitblast net pats)
+
+(* An empty pattern set simulates to one zero word per node under every
+   plan kind, reading no pattern word past the set. *)
+let test_kernel_empty_patterns () =
+  let rng = Rng.create 79L in
+  let aig = random_aig rng ~pis:4 ~gates:20 ~pos:2 in
+  let lut = random_klut rng ~pis:4 ~luts:12 in
+  List.iter
+    (fun (what, pats) ->
+      let tables =
+        [
+          ("aig", aig_table aig pats);
+          ("stp", klut_table `Stp lut pats);
+          ("bitblast", klut_table `Bitblast lut pats);
+        ]
+      in
+      List.iter
+        (fun (plan, tbl) ->
+          Array.iteri
+            (fun nd row ->
+              if row <> [| 0 |] then
+                Alcotest.failf "%s, %s plan: node %d is not one zero word" what
+                  plan nd)
+            tbl)
+        tables)
+    [
+      ("created", P.create ~num_pis:4);
+      ("random 0", P.random ~seed:3L ~num_pis:4 ~num_patterns:0);
+    ]
 
 (* ---- signatures ---- *)
 
@@ -658,11 +687,8 @@ let () =
           Alcotest.test_case "growth" `Quick test_patterns_grow;
         ] );
       ( "aig",
-        [
-          Alcotest.test_case "bitwise vs eval" `Quick test_bitwise_aig_vs_eval;
-          Alcotest.test_case "stp matches bitwise" `Quick
-            test_stp_aig_matches_bitwise;
-        ] );
+        [ Alcotest.test_case "bitwise vs eval" `Quick test_bitwise_aig_vs_eval ]
+      );
       ( "klut",
         [
           Alcotest.test_case "engines agree" `Quick test_klut_engines_agree;
@@ -708,6 +734,8 @@ let () =
           qcheck_case ~name:"incremental sequences" ~count:30
             arb_incremental_case prop_incremental_sequences;
           Alcotest.test_case "cache bound" `Quick test_kernel_cache_bound;
+          Alcotest.test_case "empty pattern set" `Quick
+            test_kernel_empty_patterns;
         ] );
       ( "signature",
         [

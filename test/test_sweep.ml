@@ -132,7 +132,7 @@ let test_guided_patterns () =
   check "constant proven" true
     (List.mem (L.node k, false) outcome.Sweep.Guided_patterns.proven_const);
   (* The rare node must now toggle under the refined pattern set. *)
-  let tbl = Sim.Bitwise.simulate_aig net pats in
+  let tbl = Sim.Kernel.execute (Sim.Kernel.compile_aig net) pats in
   check "rare node toggles" true (Sg.count_ones tbl.(L.node rare) > 0)
 
 (* ---- sweeping ---- *)
