@@ -157,7 +157,11 @@ let mode_s =
      is how the sweeper uses them), so they are built once in the
      fixture; a separate entry prices cut and compile together. *)
   let cut =
-    Sim.Circuit_cut.cut cut_net ~limit:9 ~targets:cut_targets
+    Sim.Circuit_cut.cut cut_net
+      ~limit:
+        (Sim.Circuit_cut.limit
+           ~num_patterns:(Sim.Patterns.num_patterns cut_pats))
+      ~targets:cut_targets
   in
   let all_plan = Sim.Kernel.compile_klut ~style:`Stp cut_net in
   let roots_plan =

@@ -124,7 +124,11 @@ let socket =
     required
     & opt (some string) None
     & info [ "socket"; "s" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket to listen on (created, unlinked on exit).")
+        ~doc:
+          "Unix-domain socket to listen on (created, unlinked on exit). It \
+           is bound first under a private name of up to 9 bytes in the same \
+           directory, so the directory plus 10 bytes must fit in 107 \
+           bytes, as must $(docv) itself.")
 
 let domains =
   Arg.(

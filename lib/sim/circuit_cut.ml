@@ -129,8 +129,11 @@ let floor_log2 n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
 
+let limit ~num_patterns =
+  min Kernel.cascade_max_fanins (max 2 (floor_log2 (max 2 num_patterns)))
+
 let simulate net pats ~targets =
-  let limit = min 16 (max 2 (floor_log2 (max 2 (Patterns.num_patterns pats)))) in
+  let limit = limit ~num_patterns:(Patterns.num_patterns pats) in
   let { network; node_map; roots = _ } = cut net ~limit ~targets in
   let tbl = Kernel.execute (Kernel.compile_klut ~style:`Stp network) pats in
   List.map (fun t -> (t, tbl.(node_map.(t)))) targets

@@ -19,6 +19,10 @@ let op_and = 2
 let op_matrix = 3
 let op_cascade = 4
 
+(* The widest LUT [`Stp] compiles into a selection cascade; wider ones
+   take the matrix pass. *)
+let cascade_max_fanins = 8
+
 (* k-LUT networks reuse a small set of functions (a 6-LUT mapping of a
    big adder is mostly a handful of carry/sum shapes), so a cascade is
    compiled once per distinct truth table and shared across nodes, plan
@@ -211,9 +215,10 @@ let compile_aig ?hint net =
   extend_aig t net;
   t
 
-(* KLUT instruction selection: [`Stp] compiles each narrow LUT (k <= 8)
-   into its selection cascade — the paper's engine — and falls back to
-   a matrix pass for wide LUTs (cut-composed cones). [`Bitblast] is the
+(* KLUT instruction selection: [`Stp] compiles each narrow LUT
+   (k <= cascade_max_fanins) into its selection cascade — the paper's
+   engine — and falls back to a matrix pass for wide LUTs (cut-composed
+   cones). [`Bitblast] is the
    baseline off-the-shelf treatment: every LUT is a matrix pass, i.e.
    per-bit fanin gather + table lookup, which is exactly what extracting
    individual bits of the LUT costs. *)
@@ -231,7 +236,11 @@ let extend_klut t ?cache ~style net =
        let k = Array.length fanins in
        if k > t.max_k then t.max_k <- k;
        let fo = pool_add_fanins t fanins in
-       let narrow = match style with `Stp -> k <= 8 | `Bitblast -> false in
+       let narrow =
+         match style with
+         | `Stp -> k <= cascade_max_fanins
+         | `Bitblast -> false
+       in
        if narrow then begin
          let c = Cache.get cache (K.func net nd) in
          t.op.(nd) <- op_cascade;

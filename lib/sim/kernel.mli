@@ -78,14 +78,19 @@ val extend_aig : t -> Aig.Network.t -> unit
     num_nodes net - 1]. The network must be the plan's own network
     grown append-only. *)
 
+val cascade_max_fanins : int
+(** [8]: the widest LUT that [`Stp] compiles into a selection cascade.
+    Wider LUTs run the per-bit matrix pass. *)
+
 val compile_klut :
   ?hint:int ->
   ?cache:Cache.t ->
   style:[ `Stp | `Bitblast ] ->
   Klut.Network.t ->
   t
-(** [`Stp]: narrow LUTs (k <= 8) become selection cascades, wide LUTs
-    matrix passes. [`Bitblast]: every LUT is a matrix pass — the
+(** [`Stp]: narrow LUTs (k <= {!cascade_max_fanins}) become selection
+    cascades, wide LUTs matrix passes. [`Bitblast]: every LUT is a
+    matrix pass — the
     baseline per-bit extraction an off-the-shelf simulator does.
     [cache] defaults to {!Cache.shared}. *)
 

@@ -340,6 +340,17 @@ let shed_queue st =
 
 (* ---- accept loop ---- *)
 
+(* Linux's [sun_path] holds 108 bytes, the terminating NUL included. *)
+let max_socket_path = 107
+
+(* Distinguishes the private bind names of servers in one process. *)
+let binds = Atomic.make 0
+
+(* [.PID.N] in hex: at most 9 bytes for a Linux pid (below 2^22) and a
+   process's first 16 servers. *)
+let private_name () =
+  Printf.sprintf ".%x.%x" (Unix.getpid ()) (Atomic.fetch_and_add binds 1)
+
 let run ?(stop = Atomic.make false) cfg =
   (* A client that disappears mid-response must surface as EPIPE on the
      write, not kill the daemon. *)
@@ -361,14 +372,38 @@ let run ?(stop = Atomic.make false) cfg =
       write_aborts = Atomic.make 0;
     }
   in
-  (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+  (* Bind under a private name in the same directory, listen, then
+     rename onto the socket path: the path exists only while something
+     accepts on it, so a probe can never catch the bind-to-listen gap
+     and read a starting daemon as stale. The rename also replaces a
+     stale leftover atomically. *)
+  let private_path =
+    Filename.concat (Filename.dirname cfg.socket_path) (private_name ())
+  in
+  List.iter
+    (fun (path, what) ->
+      if String.length path > max_socket_path then
+        raise
+          (Unix.Unix_error
+             ( Unix.ENAMETOOLONG,
+               "bind",
+               Printf.sprintf "%s (%s is over %d bytes)" cfg.socket_path what
+                 max_socket_path )))
+    [
+      (cfg.socket_path, "the path");
+      (private_path, "its private bind name " ^ private_path);
+    ];
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* Only a dead process with our pid can have left this name behind. *)
+  (try Unix.unlink private_path with Unix.Unix_error _ -> ());
   (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
+     Unix.bind listen_fd (Unix.ADDR_UNIX private_path);
      Unix.listen listen_fd 64;
-     Unix.set_nonblock listen_fd
+     Unix.set_nonblock listen_fd;
+     Unix.rename private_path cfg.socket_path
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+     (try Unix.unlink private_path with Unix.Unix_error _ -> ());
      raise e);
   let workers = max 1 cfg.domains in
   cfg.echo

@@ -98,5 +98,17 @@ type outcome = {
 
 val run : ?stop:bool Atomic.t -> config -> outcome
 (** Binds, serves until [stop] is set (or [global_timeout] expires),
-    drains, unlinks the socket, returns the tallies. Raises
-    [Unix.Unix_error] only for pre-serving failures (bind/listen). *)
+    drains, unlinks the socket, returns the tallies. The socket is bound
+    under a private name in the same directory and renamed onto
+    [socket_path] once it listens, so the path never exists without a
+    listener behind it (and replaces a stale file atomically). The
+    private name is [.PID.N] in hex — at most 9 bytes for a process's
+    first 16 servers — and both it and [socket_path] must fit Linux's
+    [sun_path] ({!max_socket_path} bytes): a socket whose directory plus
+    [/] and 9 bytes does not fit fails up front with
+    [ENAMETOOLONG] before anything is created, even if [socket_path]
+    itself would. Raises [Unix.Unix_error] only for pre-serving failures
+    (path length/bind/listen/rename). *)
+
+val max_socket_path : int
+(** 107: the longest Unix socket path Linux binds. *)

@@ -115,6 +115,9 @@ type state = {
      paper's STP exhaustive simulation: each table is the composition of
      the fanin logic matrices, built once bottom-up. A candidate pair
      compares by lifting both tables onto the joint support. *)
+  cut : Cut_window.t;
+  (* scratch of the cut-frontier tier; per sweep, since daemon domains
+     run sweeps concurrently *)
   classes : Equiv_classes.t;
   mutable pending_ce : int;
   budget : Obs.Budget.t;
@@ -349,37 +352,61 @@ let note_counterexample st ce =
     if st.pending_ce >= st.cfg.resim_batch then resimulate st
   end
 
-(* Exhaustive-window comparison from the cached tables: lift both onto
-   the joint support and compare columns. Exact — equal tables prove
-   equivalence, different tables refute it — so no SAT call happens
-   either way. *)
+(* First tier: exhaustive simulation over a <=5-leaf structural cut
+   ({!Cut_window}). Sound but one-sided — it proves, never splits. In
+   certified mode a proof is accepted only once its case-split DRUP
+   proof replays on an independent checker; a rejected one counts as a
+   rejected certificate and leaves the pair to the next tiers. *)
+let cut_verdict st nd r =
+  match Cut_window.verdict st.cut st.fresh nd r with
+  | `Unknown -> `Unknown
+  | (`Equal | `Compl) as v when not st.cfg.certify -> v
+  | (`Equal | `Compl) as v -> (
+    match Cut_window.prove st.cut st.fresh nd r ~compl:(v = `Compl) with
+    | Ok () -> v
+    | Error _ ->
+      st.stats.Stats.certificate_rejected <-
+        st.stats.Stats.certificate_rejected + 1;
+      `Unknown)
+
+(* Second tier: exhaustive-window comparison from the cached PI-support
+   tables — lift both onto the joint support and compare columns.
+   Exact: equal tables prove equivalence, different tables refute it. *)
+let pi_window_verdict st nd r =
+  match (st.supports.(nd), st.supports.(r)) with
+  | Some sa, Some sb -> (
+    match merge_support st.cfg.window_max_leaves sa sb with
+    | None -> `Unknown
+    | Some joint ->
+      let module T = Tt.Truth_table in
+      (* Structural duplicates usually share the support exactly; skip
+         the lift then. *)
+      let la, lb =
+        if List.equal Int.equal sa sb then (window_tt st nd, window_tt st r)
+        else
+          ( lift_tt (window_tt st nd) sa joint,
+            lift_tt (window_tt st r) sb joint )
+      in
+      if T.equal la lb then `Merge (false, false)
+      else if T.equal la (T.not_ lb) then `Merge (true, false)
+      else `Different)
+  | _ -> `Unknown
+
+(* The window tiers, cheapest first: [`Merge (compl, by_cut)] proves
+   the pair, [`Different] refutes it, and [`Unknown] leaves it to the
+   solver — so no SAT call happens on a decided pair. *)
 let window_verdict st nd r =
   if not st.cfg.window_refine then `Unknown
   else if Obs.Fault.fires fault_fail_window then
-    (* Injected fault: refinement unavailable — fall back to the
+    (* Injected fault: both tiers unavailable — fall back to the
        solver, which must reach the same verdict. *)
     `Unknown
   else
-    match (st.supports.(nd), st.supports.(r)) with
-    | Some sa, Some sb -> (
-      match merge_support st.cfg.window_max_leaves sa sb with
-      | None -> `Unknown
-      | Some joint ->
-        timed st `Window (fun () ->
-            let module T = Tt.Truth_table in
-            (* Structural duplicates usually share the support
-               exactly; skip the lift then. *)
-            let la, lb =
-              if List.equal Int.equal sa sb then
-                (window_tt st nd, window_tt st r)
-              else
-                ( lift_tt (window_tt st nd) sa joint,
-                  lift_tt (window_tt st r) sb joint )
-            in
-            if T.equal la lb then `Equal
-            else if T.equal la (T.not_ lb) then `Compl
-            else `Different))
-    | _ -> `Unknown
+    timed st `Window (fun () ->
+        match cut_verdict st nd r with
+        | `Equal -> `Merge (false, true)
+        | `Compl -> `Merge (true, true)
+        | `Unknown -> pi_window_verdict st nd r)
 
 (* ---- the sweep loop ----
 
@@ -406,7 +433,12 @@ let window_verdict st nd r =
    [max_compares], the result depends neither on the domain count nor
    on how the counterexamples refined the classes on the way. *)
 
-type collected = C_none | C_merge of L.t | C_task of Dispatch.cand list
+type collected =
+  | C_none
+  | C_merge of L.t * bool
+  | C_task of Dispatch.cand list * bool
+(* [bool]: the merge, or the window equality closing the task, came
+   from the cut tier *)
 
 (* Walk [nd]'s candidate class on the calling domain. Window-proved
    equalities merge on the spot when nothing precedes them and close
@@ -419,10 +451,12 @@ let collect st nd =
   let reps =
     List.filter (fun r -> r < nd) (Equiv_classes.candidates st.classes sig_n)
   in
-  let finish acc = match acc with [] -> C_none | l -> C_task (List.rev l) in
+  let finish ~cut acc =
+    match acc with [] -> C_none | l -> C_task (List.rev l, cut)
+  in
   let rec walk tried acc = function
-    | [] -> finish acc
-    | _ when tried >= st.cfg.max_compares -> finish acc
+    | [] -> finish ~cut:false acc
+    | _ when tried >= st.cfg.max_compares -> finish ~cut:false acc
     | _ when not (budget_ok st "sat") ->
       (* Mid-node exhaustion: the node keeps its structural
          translation — never a partial merge. *)
@@ -439,14 +473,10 @@ let collect st nd =
       then walk tried acc rest
       else
         match window_verdict st nd r with
-        | (`Equal | `Compl) as v ->
-          let c = v = `Compl in
-          if acc = [] then begin
-            st.stats.Stats.window_merges <- st.stats.Stats.window_merges + 1;
-            C_merge (L.of_node r c)
-          end
+        | `Merge (c, cut) ->
+          if acc = [] then C_merge (L.of_node r c, cut)
           else
-            finish
+            finish ~cut
               ({ Dispatch.c_rep = r; c_compl = c; c_window_eq = true } :: acc)
         | `Different ->
           st.stats.Stats.window_splits <- st.stats.Stats.window_splits + 1;
@@ -554,6 +584,10 @@ let cube_phase st disp tasks results =
     end
   end
 
+let count_window_merge s ~cut =
+  s.Stats.window_merges <- s.Stats.window_merges + 1;
+  if cut then s.Stats.cut_merges <- s.Stats.cut_merges + 1
+
 (* Merge phase for one task: fold the worker's counters into stats —
    the one place query outcomes become [Stats] — apply its
    counterexamples (validated by the worker) in attempt order, then
@@ -569,7 +603,7 @@ let cube_phase st disp tasks results =
    redundant pattern is dropped, so [ce_patterns] counts patterns that
    actually entered the simulation set. *)
 let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
-    old_nd l =
+    (old_nd, l, cut) =
   let c = res.Dispatch.r_counts and s = st.stats in
   s.Stats.sat_unsat <- s.Stats.sat_unsat + c.Dispatch.n_unsat;
   s.sat_sat <- s.sat_sat + c.n_sat;
@@ -598,7 +632,7 @@ let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
     (List.rev res.Dispatch.r_ces);
   match res.Dispatch.r_outcome with
   | Dispatch.Merged (lit, via_window) ->
-    if via_window then s.window_merges <- s.window_merges + 1;
+    if via_window then count_window_merge s ~cut;
     s.merges <- s.merges + 1;
     if L.is_const lit then s.const_merges <- s.const_merges + 1;
     map.(old_nd) <- L.xor_compl lit (L.is_compl l)
@@ -666,14 +700,15 @@ let sweep_ands st old_net map tr =
         register_new_nodes st;
         match collect st (L.node l) with
         | C_none -> ()
-        | C_merge merged ->
+        | C_merge (merged, cut) ->
+          count_window_merge st.stats ~cut;
           st.stats.Stats.merges <- st.stats.Stats.merges + 1;
           if L.is_const merged then
             st.stats.Stats.const_merges <- st.stats.Stats.const_merges + 1;
           map.(old_nd) <- L.xor_compl merged (L.is_compl l)
-        | C_task cands ->
+        | C_task (cands, cut) ->
           tasks := { Dispatch.t_node = L.node l; t_cands = cands } :: !tasks;
-          infos := (old_nd, l) :: !infos;
+          infos := (old_nd, l, cut) :: !infos;
           awaiting.(old_nd) <- true
       end
     done;
@@ -688,9 +723,9 @@ let sweep_ands st old_net map tr =
       (* Merge: single writer, task order. *)
       Array.iteri
         (fun j res ->
-          let old_nd, l = infos.(j) in
+          let ((old_nd, _, _) as info) = infos.(j) in
           awaiting.(old_nd) <- false;
-          apply_result st seen_ces tasks.(j) res map old_nd l)
+          apply_result st seen_ces tasks.(j) res map info)
         results
     end
   done
@@ -744,6 +779,7 @@ let run ?(config = stp_config) old_net =
       sigs = Array.make (max 16 (A.num_nodes old_net)) [||];
       supports = Array.make (max 16 (A.num_nodes old_net)) None;
       window_tts = Array.make (max 16 (A.num_nodes old_net)) None;
+      cut = Cut_window.create ();
       sig_count = 0;
       sim_np = P.num_patterns pats;
       classes = Equiv_classes.create ~num_patterns:(P.num_patterns pats);

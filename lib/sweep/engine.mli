@@ -10,9 +10,11 @@
 
     The [&fraig]-style baseline and the paper's STP sweeper are the same
     engine under different configurations: the STP configuration adds
-    SAT-guided initial patterns and the exhaustive <=16-leaf window
-    refinement in front of the solver; the baseline relies on random
-    initial patterns and counter-example resimulation alone.
+    SAT-guided initial patterns and two exhaustive window tiers in front
+    of the solver — a <=5-leaf cut-frontier window per candidate pair
+    ({!Cut_window}), then the pair's <=16-leaf PI-support window; the
+    baseline relies on random initial patterns and counter-example
+    resimulation alone.
 
     {!config} is the one way to configure a sweep: {!Stp_sweep.sweep}
     and {!Fraig.sweep} take a whole record (defaulting to {!stp_config}
@@ -66,7 +68,19 @@ type config = {
   guided_init : bool;
   guided_queries : int;  (** query budget for guided initialization *)
   window_refine : bool;
+      (** the window tiers, in front of the solver for every candidate
+          pair. First a cut-frontier window ({!Cut_window}): exhaustive
+          simulation over a joint structural cut of at most 5 leaves,
+          which can only prove a merge (counted in [Stats.cut_merges];
+          in certified mode its case-split proof must replay on
+          {!Sat.Drup} first). Then, for what it leaves open, the
+          PI-support window: when the pair's joint PI support has at
+          most [window_max_leaves] leaves, lifted truth tables prove or
+          refute the pair exactly. The [sweep.fail_window] fault
+          switches both off. *)
   window_max_leaves : int;
+      (** leaf budget of the PI-support window (the cut tier's limits
+          are fixed constants of {!Cut_window}) *)
   sim_domains : int;
       (** OCaml domains for bulk (re)simulation passes; [1] = sequential.
           The word-sharded parallel simulators are bit-identical to the
@@ -144,7 +158,7 @@ val fraig_config : config
 (** Baseline: random init, no windows — [&fraig]'s recipe. *)
 
 val stp_config : config
-(** The paper's engine: guided init + exhaustive window refinement,
+(** The paper's engine: guided init + both window tiers, PI-support
     window limit 16. *)
 
 val run : ?config:config -> Aig.Network.t -> Aig.Network.t * Stats.t

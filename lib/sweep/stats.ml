@@ -8,6 +8,7 @@ type t = {
   mutable merges : int;
   mutable const_merges : int;
   mutable window_merges : int;
+  mutable cut_merges : int;
   mutable window_splits : int;
   mutable ce_patterns : int;
   mutable initial_patterns : int;
@@ -44,6 +45,7 @@ let create () =
     merges = 0;
     const_merges = 0;
     window_merges = 0;
+    cut_merges = 0;
     window_splits = 0;
     ce_patterns = 0;
     initial_patterns = 0;
@@ -102,6 +104,7 @@ let to_json t =
             ("merges", Int t.merges);
             ("const_merges", Int t.const_merges);
             ("window_merges", Int t.window_merges);
+            ("cut_merges", Int t.cut_merges);
             ("window_splits", Int t.window_splits);
             ("ce_patterns", Int t.ce_patterns);
             ("initial_patterns", Int t.initial_patterns);
@@ -138,11 +141,11 @@ let to_json t =
 let pp ppf t =
   Format.fprintf ppf
     "sat=%d unsat=%d undet=%d retries=%d merges=%d const=%d win_merge=%d \
-     win_split=%d ce=%d sim=%.3fs plan=%.3fs guided=%.3fs resim=%.3fs \
+     cut_merge=%d win_split=%d ce=%d sim=%.3fs plan=%.3fs guided=%.3fs resim=%.3fs \
      window=%.3fs sat_t=%.3fs total=%.3fs decisions=%d conflicts=%d props=%d \
      learned=%d"
     t.sat_sat t.sat_unsat t.sat_undet t.sat_retries t.merges t.const_merges
-    t.window_merges t.window_splits t.ce_patterns t.sim_time
+    t.window_merges t.cut_merges t.window_splits t.ce_patterns t.sim_time
     t.plan_compile_time t.guided_time t.resim_time t.window_time t.sat_time
     t.total_time t.sat_decisions
     t.sat_conflicts t.sat_propagations t.sat_learned;

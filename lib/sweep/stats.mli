@@ -15,7 +15,9 @@
       plan for the growing fresh network;
     - [guided_time] — SAT-guided initial pattern generation;
     - [resim_time] — batch counter-example resimulations;
-    - [window_time] — exhaustive-window table construction/comparison;
+    - [window_time] — both window tiers: cut-frontier evaluation (with
+      its DRUP replay in certified mode) and PI-support table
+      construction/comparison;
     - [sat_time] — equivalence queries in the CDCL solver (with a
       cross-run cache armed, also its lookups, replays and stores);
     - [total_time] — the whole sweep, including untimed glue, so the sum
@@ -36,7 +38,11 @@ type t = {
       (** escalated re-queries of pairs that first came back undetermined *)
   mutable merges : int;  (** node-to-node merges proven *)
   mutable const_merges : int;  (** nodes proven constant *)
-  mutable window_merges : int;  (** merges decided by exhaustive windows *)
+  mutable window_merges : int;
+      (** merges decided by exhaustive windows, either tier *)
+  mutable cut_merges : int;
+      (** the subset of [window_merges] proved by the cut-frontier tier
+          ({!Cut_window}) rather than the PI-support window *)
   mutable window_splits : int;  (** candidate pairs split by windows *)
   mutable ce_patterns : int;  (** counter-example patterns appended *)
   mutable initial_patterns : int;

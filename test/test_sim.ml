@@ -283,6 +283,34 @@ let test_circuit_cut_respects_limit () =
         (K.max_fanin cut_net <= max limit (K.max_fanin net)))
     [ 2; 3; 4; 8 ]
 
+let test_circuit_cut_cascade_cap () =
+  (* At 4096 patterns the uncapped rule would cut 12 leaves wide; every
+     collapsed LUT must stay within the kernel's cascade cutoff, and the
+     mode-s rows must still equal mode a. *)
+  let cap = Sim.Kernel.cascade_max_fanins in
+  let limit = Sim.Circuit_cut.limit ~num_patterns:4096 in
+  check_int "limit capped at the cascade cutoff" cap limit;
+  let rng = Rng.create 71L in
+  for _ = 1 to 5 do
+    let net = random_klut rng ~pis:12 ~luts:120 in
+    let pats = P.random ~seed:(Rng.int64 rng) ~num_pis:12 ~num_patterns:4096 in
+    let luts = ref [] in
+    K.iter_luts net (fun n -> luts := n :: !luts);
+    let targets = List.filteri (fun i _ -> i mod 20 = 0) !luts in
+    let { Sim.Circuit_cut.network = cut_net; _ } =
+      Sim.Circuit_cut.cut net ~limit ~targets
+    in
+    K.iter_luts cut_net (fun n ->
+        if Array.length (K.fanins cut_net n) > cap then
+          Alcotest.failf "cut LUT %d has %d fanins" n
+            (Array.length (K.fanins cut_net n)));
+    let full = klut_table `Stp net pats in
+    List.iter
+      (fun (node, s) ->
+        if s <> full.(node) then Alcotest.failf "node %d differs" node)
+      (Sim.Circuit_cut.simulate net pats ~targets)
+  done
+
 (* ---- incremental simulation ---- *)
 
 (* What the sweep engine does after a counter-example batch: keep the
@@ -703,6 +731,8 @@ let () =
           Alcotest.test_case "random targets" `Quick test_circuit_cut_random;
           Alcotest.test_case "limit respected" `Quick
             test_circuit_cut_respects_limit;
+          Alcotest.test_case "mode s capped at the cascade cutoff" `Quick
+            test_circuit_cut_cascade_cap;
         ] );
       ( "incremental",
         [

@@ -157,11 +157,13 @@ let test_response_codec () =
 
 let with_server ?cache_dir ?(paranoid = false) ?(domains = 1)
     ?(queue_depth = 16) ?idle_timeout ?io_timeout ?(retry_after_s = 0.05)
-    ?pool ?request_timeout f =
+    ?pool ?request_timeout ?sock f =
   let dir = Filename.temp_file "svcsock" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let sock = Filename.concat dir "d.sock" in
+  let sock =
+    match sock with Some s -> s | None -> Filename.concat dir "d.sock"
+  in
   let stop = Atomic.make false in
   let cache = Option.map (fun d -> Svc.Cache.open_ d) cache_dir in
   let srv =
@@ -298,16 +300,34 @@ let test_server_drop_conn_fault () =
   check_int "dropped counted" 1 outcome.Svc.Server.dropped;
   check_int "served counted" 1 outcome.Svc.Server.served
 
+(* Copy [src] into [dst] with its PIs bound to [pis]; returns the
+   copy's PO literals. *)
+let copy_onto dst pis src =
+  let map = Array.make (A.num_nodes src) L.false_ in
+  let tr l = L.xor_compl map.(L.node l) (L.is_compl l) in
+  A.iter_nodes src (fun n ->
+      match A.kind src n with
+      | A.Const -> ()
+      | A.Pi i -> map.(n) <- pis.(i)
+      | A.And ->
+        map.(n) <- A.add_and dst (tr (A.fanin0 src n)) (tr (A.fanin1 src n)));
+  Array.map tr (A.pos src)
+
 let test_server_warm_cache () =
   (* Same request twice through one daemon with a disk cache: the warm
      report must show hits, no rejected certificates, and the same
      result size — the service-level version of the engine tests. *)
-  (* Wide enough (> window_max_leaves = 16 PIs) that equivalences need
-     real SAT proofs — exhaustive windows alone would never consult the
-     cache. *)
-  let rng = Rng.create 0xCAFE05L in
-  let base = random_network rng ~pis:24 ~gates:300 ~pos:6 in
-  let net = Gen.Redundant.inject ~seed:9L ~fraction:0.5 base in
+  (* Two 16-bit adders of different structure on shared PIs: their
+     carries span up to 32 PIs (> window_max_leaves = 16) and differ
+     structurally beyond any 5-leaf cut, so neither window tier proves
+     them and the sweep needs real SAT proofs — which the cache then
+     serves. *)
+  let net = A.create () in
+  let pis = Array.init 32 (fun _ -> A.add_pi net) in
+  List.iter
+    (fun adder ->
+      Array.iter (fun l -> ignore (A.add_po net l)) (copy_onto net pis adder))
+    [ Gen.Arith.ripple_adder ~width:16; Gen.Arith.kogge_stone_adder ~width:16 ];
   let aiger = Aig.Aiger.write net in
   let dir = Filename.temp_file "svccache" "" in
   Sys.remove dir;
@@ -606,6 +626,60 @@ let test_probe () =
   Sys.remove stale;
   Unix.rmdir dir
 
+let test_socket_path_limit () =
+  (* Paths at Linux's 107-byte socket limit. The daemon binds a private
+     name of up to 9 bytes next to the socket first, so a long basename
+     still serves at the limit, while a path over it, or a short
+     basename whose directory leaves no room for the private name, fails
+     up front and leaves nothing behind. *)
+  let limit = Svc.Server.max_socket_path in
+  let base = tmp_dir "svclen" in
+  let dir_len = limit - 1 - 16 in
+  let dir =
+    Filename.concat base (String.make (dir_len - String.length base - 1) 'd')
+  in
+  Unix.mkdir dir 0o755;
+  let at_limit = Filename.concat dir (String.make 16 's') in
+  check_int "path at the limit" limit (String.length at_limit);
+  let probed, _ =
+    with_server ~sock:at_limit @@ fun sock -> Svc.Client.probe sock
+  in
+  check "a 16-byte basename at the limit serves" true (probed = `Live);
+  let refused path =
+    match
+      Svc.Server.run
+        {
+          Svc.Server.socket_path = path;
+          domains = 1;
+          queue_depth = 1;
+          idle_timeout = None;
+          io_timeout = None;
+          retry_after_s = 0.05;
+          pool = None;
+          cache = None;
+          paranoid = false;
+          request_timeout = None;
+          global_timeout = Some 5.0;
+          echo = ignore;
+        }
+    with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ENAMETOOLONG, _, _) -> true
+  in
+  check "one byte over the limit is refused" true
+    (refused (Filename.concat dir (String.make 17 's')));
+  let tight =
+    Filename.concat base (String.make (limit - String.length base - 3) 'd')
+  in
+  Unix.mkdir tight 0o755;
+  check "no room for the private name is refused" true
+    (refused (Filename.concat tight "s"));
+  check "refused starts create nothing" true
+    (Sys.readdir dir = [||] && Sys.readdir tight = [||]);
+  Unix.rmdir tight;
+  Unix.rmdir dir;
+  Unix.rmdir base
+
 let test_stress_overload () =
   (* 4x oversubscription with faults armed: 10 retrying clients, 3
      hostile peers and 3 silent ones against 2 workers and a 2-deep
@@ -894,6 +968,8 @@ let () =
           Alcotest.test_case "idle timeout" `Slow test_idle_timeout;
           Alcotest.test_case "slow_client fault" `Slow test_slow_client_fault;
           Alcotest.test_case "socket probe live/stale/absent" `Slow test_probe;
+          Alcotest.test_case "socket path at the length limit" `Quick
+            test_socket_path_limit;
           Alcotest.test_case "4x oversubscription flood" `Slow
             test_stress_overload;
         ] );

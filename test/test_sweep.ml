@@ -1444,6 +1444,121 @@ let prop_cone_cert seed =
       | _ -> false)
     pairs
 
+(* ---- cut-frontier windows ---- *)
+
+module Cw = Sweep.Cut_window
+
+(* Every decisive verdict of the cut tier, on every node pair of random
+   redundant networks, against the exhaustive all-PI truth tables — an
+   oracle that shares nothing with the SAT or DRUP stack. Each proof
+   must replay for the verdict's relation and be rejected for the
+   flipped one. *)
+let prop_cut_window seed =
+  let rng = Rng.create seed in
+  let base =
+    random_network rng ~pis:(2 + Rng.int rng 11) ~gates:(20 + Rng.int rng 60)
+      ~pos:3
+  in
+  let net = Gen.Redundant.inject ~seed ~fraction:0.5 base in
+  let tt = node_tables net in
+  let cw = Cw.create () in
+  let ok = ref true in
+  A.iter_ands net (fun a ->
+      for b = 0 to a - 1 do
+        match Cw.verdict cw net a b with
+        | `Unknown -> ()
+        | (`Equal | `Compl) as v ->
+          let compl = v = `Compl in
+          let agrees =
+            Array.for_all2 (fun x y -> x = (y <> compl)) tt.(a) tt.(b)
+          in
+          if
+            not
+              (agrees
+              && Cw.prove cw net a b ~compl = Ok ()
+              && Result.is_error (Cw.prove cw net a b ~compl:(not compl)))
+          then ok := false
+      done);
+  !ok
+
+let test_cut_window_flipped_proof () =
+  (* XOR of two PIs against an XNOR built from different ANDs: the two
+     nodes are complementary over a two-leaf cut, so claiming them equal
+     must fail on the checker. [~skew] builds the same node ids with the
+     XNOR's second fanin uncomplemented (that node is then [!x & y]). *)
+  let build ~skew =
+    let net = A.create () in
+    let x = A.add_pi net and y = A.add_pi net in
+    let xor_ = A.add_xor net x y in
+    let right = A.add_and net (L.not_ x) y in
+    let xnor =
+      A.add_and net
+        (L.not_ (A.add_and net x (L.not_ y)))
+        (if skew then right else L.not_ right)
+    in
+    (net, x, y, xor_, xnor)
+  in
+  let net, x, y, xor_, xnor = build ~skew:false in
+  (* The literals are complementary functions; the nodes are too when
+     both literals carry the same polarity. *)
+  check "nodes are complementary" true (L.is_compl xor_ = L.is_compl xnor);
+  let cw = Cw.create () in
+  let a = L.node xnor and b = L.node xor_ in
+  match Cw.verdict cw net a b with
+  | `Compl ->
+    check "the complement relation replays" true
+      (Cw.prove cw net a b ~compl:true = Ok ());
+    check "claiming equality is rejected" true
+      (Result.is_error (Cw.prove cw net a b ~compl:false));
+    (* The axioms come from the network and the pair, not from the kept
+       cut: the same cut certifies neither a pair it does not decide nor
+       the same node ids in a network where they differ. *)
+    let other = L.node (A.add_and net x y) in
+    check "another pair over the same cut is rejected" true
+      (Result.is_error (Cw.prove cw net a other ~compl:true)
+      && Result.is_error (Cw.prove cw net a other ~compl:false));
+    let skewed, _, _, xor', xnor' = build ~skew:true in
+    check "same node ids" true (L.node xor' = b && L.node xnor' = a);
+    check "a network the cut does not match is rejected" true
+      (Result.is_error (Cw.prove cw skewed a b ~compl:true)
+      && Result.is_error (Cw.prove cw skewed a b ~compl:false))
+  | `Equal -> Alcotest.fail "complementary nodes judged equal"
+  | `Unknown -> Alcotest.fail "two-leaf XOR/XNOR pair not decided"
+
+let fsm () =
+  Gen.Redundant.inject ~seed:5L ~fraction:0.25
+    (Gen.Control.fsm_next_state ~seed:0xF5A1L ~state_bits:16 ~input_bits:12
+       ~complexity:20)
+
+let test_cut_window_fault_off () =
+  (* [sweep.fail_window] at probability 1 switches both tiers off: no
+     window merge at all, and the solver proves the same network. *)
+  let net = fsm () in
+  let plain, st = Sweep.Stp_sweep.sweep net in
+  let faulted, st_f =
+    with_faults "seed=1,sweep.fail_window" (fun () -> Sweep.Stp_sweep.sweep net)
+  in
+  check "windows merged without the fault" true
+    (st.Sweep.Stats.window_merges > 0);
+  check_int "no window merge under the fault" 0
+    st_f.Sweep.Stats.window_merges;
+  check_int "no cut merge under the fault" 0 st_f.Sweep.Stats.cut_merges;
+  check "same bytes as the sweep without the fault" true
+    (Aig.Aiger.write plain = Aig.Aiger.write faulted)
+
+let test_cut_merges_counted () =
+  let _, st = Sweep.Stp_sweep.sweep (fsm ()) in
+  let open Sweep.Stats in
+  check "cut merges happen" true (st.cut_merges > 0);
+  check "cut merges within window merges" true
+    (st.cut_merges <= st.window_merges);
+  check_report_roundtrip "cut" st;
+  match Obs.Json.member "counters" (to_json st) with
+  | Some counters ->
+    check "cut_merges in the report" true
+      (Obs.Json.member "cut_merges" counters = Some (Obs.Json.Int st.cut_merges))
+  | None -> Alcotest.fail "no counters object in the report"
+
 let () =
   Alcotest.run "sweep"
     [
@@ -1525,6 +1640,20 @@ let () =
                ~count:150
                (QCheck.make ~print:Int64.to_string QCheck.Gen.ui64)
                prop_cone_cert);
+        ] );
+      ( "cut_window",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make
+               ~name:"verdicts agree with the truth-table oracle" ~count:30
+               (QCheck.make ~print:Int64.to_string QCheck.Gen.ui64)
+               prop_cut_window);
+          Alcotest.test_case "flipped relation is rejected" `Quick
+            test_cut_window_flipped_proof;
+          Alcotest.test_case "fail_window switches both tiers off" `Quick
+            test_cut_window_fault_off;
+          Alcotest.test_case "cut merges counted and reported" `Quick
+            test_cut_merges_counted;
         ] );
       ( "cache",
         [
