@@ -74,8 +74,8 @@ let run_remote sock remote_retries name net script timeout verify certify
     | None -> ());
     if member "cec" report = Some (String "different") then exit 1
 
-let run circuit file engine timeout retries sat_domains self_verify verify
-    certify output json trace connect remote_retries () =
+let run circuit file engine timeout sat_domains self_verify verify certify
+    output json trace connect remote_retries () =
   Report.cli_guard @@ fun () ->
   if trace then Obs.Trace.enable ();
   let name, net = Report.load_network ?circuit ?file () in
@@ -83,12 +83,6 @@ let run circuit file engine timeout retries sat_domains self_verify verify
     let b = Buffer.create 32 in
     Buffer.add_string b
       (match engine with `Stp -> "sweep -e stp" | `Fraig -> "sweep -e fraig");
-    (match retries with
-    | Some limits ->
-      Buffer.add_string b
-        (" --retry-schedule "
-        ^ String.concat "," (List.map string_of_int limits))
-    | None -> ());
     if sat_domains <> 1 then
       Buffer.add_string b (Printf.sprintf " --sat-domains %d" sat_domains);
     if verify then Buffer.add_string b "; verify";
@@ -155,15 +149,6 @@ let timeout =
            budget_exhausted; the partial result is still equivalent to the \
            input.")
 
-let retries =
-  Arg.(
-    value
-    & opt (some (list int)) None
-    & info [ "retry-schedule" ] ~docv:"N,N,..."
-        ~doc:
-          "Escalating conflict limits re-tried on SAT queries that come \
-           back undetermined.")
-
 (* Solver-pool sizes: a pool needs at least one member. *)
 let pool_size =
   Arg.conv'
@@ -181,16 +166,16 @@ let sat_domains =
           "Run the SAT queries on a pool of $(docv) solver domains (each \
            with its own incremental solver and, under --certify, its own \
            DRUP checker). The default 1 spawns no domain. Without a \
-           timeout or conflict limit the swept network is the same for \
-           every value.")
+           timeout the swept network is the same for every value.")
 
 let self_verify =
   Arg.(
     value & flag
     & info [ "self-verify" ]
         ~doc:
-          "Run the engine's post-sweep self-check (bitwise cross-simulation \
-           + CEC); exits 3 if the result cannot be proven equivalent.")
+          "Prove the swept network equivalent to the input after the sweep \
+           (full CEC, with fault injection suspended); exits 3 if it cannot \
+           be proven.")
 
 let verify = Arg.(value & flag & info [ "verify" ] ~doc:"CEC-verify the result.")
 
@@ -242,9 +227,9 @@ let cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"SAT-sweep a circuit")
     Term.(
-      const (fun a b c d e f g h i j k l m n ->
-          run a b c d e f g h i j k l m n ())
-      $ circuit $ file $ engine $ timeout $ retries $ sat_domains
+      const (fun a b c d e f g h i j k l m ->
+          run a b c d e f g h i j k l m ())
+      $ circuit $ file $ engine $ timeout $ sat_domains
       $ self_verify $ verify $ certify $ output $ json $ trace $ connect
       $ remote_retries)
 

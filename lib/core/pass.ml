@@ -114,6 +114,20 @@ let sweep_make args =
         String.split_on_char ',' v
         |> List.map (fun s -> positive "retry-schedule" (String.trim s)))
   in
+  (* Attempt i of a query runs under element i of the schedule. An
+     unlimited first attempt leaves nothing for a retry to do, so a
+     retry schedule needs a first limit. *)
+  let conflict_limits =
+    match (conflict_limit, retry_schedule) with
+    | Some first, later -> first :: Option.value later ~default:[]
+    | None, None -> preset.Sweep.Engine.conflict_limits
+    | None, Some _ ->
+      raise
+        (Bad_arg
+           ( "retry-schedule",
+             "retry-schedule needs --conflict-limit (without one the first \
+              attempt is unlimited and never retried)" ))
+  in
   let sat_domains = value "sat-domains" (positive "sat-domains") in
   fun ctx net ->
     (* The whole pipeline budget is handed to the sweep: it honors the
@@ -125,12 +139,7 @@ let sweep_make args =
     let config =
       {
         preset with
-        Sweep.Engine.conflict_limit =
-          (match conflict_limit with
-          | None -> preset.Sweep.Engine.conflict_limit
-          | l -> l);
-        retry_schedule =
-          Option.value retry_schedule ~default:preset.Sweep.Engine.retry_schedule;
+        Sweep.Engine.conflict_limits;
         sim_domains = ctx.sim_domains;
         sat_domains = Option.value sat_domains ~default:ctx.sat_domains;
         budget = Some ctx.budget;
@@ -141,21 +150,7 @@ let sweep_make args =
       }
     in
     let swept, stats = Sweep.Selfcheck.run ~config net in
-    ctx.echo
-      (Printf.sprintf "  %s\n" (Format.asprintf "%a" Sweep.Stats.pp stats));
-    if ctx.certify then
-      ctx.echo
-        (Printf.sprintf "  certificates: unsat=%d models=%d rejected=%d\n"
-           stats.Sweep.Stats.certified_unsat stats.Sweep.Stats.certified_models
-           stats.Sweep.Stats.certificate_rejected);
-    (match stats.Sweep.Stats.budget_exhausted with
-    | Some { Sweep.Stats.reason; phase } ->
-      ctx.echo
-        (Printf.sprintf
-           "  budget exhausted (%s) during %s — partial sweep, every applied \
-            merge is proven\n"
-           reason phase)
-    | None -> ());
+    ctx.echo (Format.asprintf "  %a\n" Sweep.Stats.pp stats);
     let fields =
       match Sweep.Stats.to_json stats with
       | Obs.Json.Obj fields -> fields

@@ -1,6 +1,6 @@
-(* Parallel SAT dispatch: a pool of solver domains for the sweep
-   engine's candidate queries, each answered by one of two per-query
-   strategies.
+(* Parallel SAT dispatch: a pool of solver domains that answers every
+   candidate query the sweep engine's window tiers leave open, each with
+   one of two per-query strategies.
 
    - Incremental (no cache): each pool member owns one incremental
      [Sat.Solver] with its own [Sat.Tseitin] environment over the
@@ -13,12 +13,15 @@
      verdict.
 
    Both strategies answer with a [Sat.Tseitin.equiv_result], so one
-   walk does the counting, the retries, the counterexample validation
-   and the per-task counterexample filter. The engine runs in waves: it
-   collects a batch of tasks (one per fresh node, each a pre-filtered
-   candidate list), freezes the network, and calls {!run_wave}; the
-   members drain the task queue. The engine — the single writer — then
-   applies the results in task order.
+   walk does the retries, the counterexample validation and the
+   per-task counterexample filter, and one [tally] turns answers into
+   counters. The engine runs in waves: it collects a batch of tasks (one
+   per fresh node, each a pre-filtered candidate list), freezes the
+   network, and calls {!run_wave}; the members drain the task queue,
+   the pairs whose conflict schedule ran dry are re-attacked
+   cube-and-conquer style, and the members' counters join the sweep's
+   [Stats]. The engine — the single writer — then applies the results
+   in task order.
 
    The network is never mutated while workers run, so workers only ever
    read it; all worker-written state is confined to each task's own
@@ -49,30 +52,15 @@ type cand = {
 
 type task = { t_node : int; t_cands : cand list }
 
-type counts = {
-  mutable n_unsat : int;
-  mutable n_sat : int;
-  mutable n_undet : int;
-  mutable n_retries : int;
-  mutable n_cert_unsat : int;
-  mutable n_cert_models : int;
-  mutable n_cert_rejected : int;
-  mutable n_cache_hits : int;
-  mutable n_cache_misses : int;
-  mutable n_cache_rejected : int;
-}
-
 type outcome =
   | Merged of L.t * bool  (* proven target; [true] = window-equal, no SAT *)
-  | Exhausted  (* candidate list exhausted (or certificate rejected) *)
-  | Hard of cand  (* retry schedule exhausted on this candidate *)
+  | Exhausted  (* no proof: candidates, certificate or cubes ran out *)
   | Stopped  (* shared budget exhausted mid-walk *)
 
 type result = {
   mutable r_outcome : outcome;
   mutable r_ces : bool array list;
       (* validated counterexamples, in reverse attempt order *)
-  r_counts : counts;
 }
 
 type domain_ctx = {
@@ -84,8 +72,9 @@ type domain_ctx = {
      propagation caps hold across the whole pool. *)
   mutable charged_conflicts : int;
   mutable charged_propagations : int;
-  mutable cone_stats : Sat.Solver.stats;
-      (* the cache strategy's throwaway solvers, summed *)
+  mutable counts : Stats.t;
+      (* this member's query outcomes and throwaway-solver totals since
+         the last join; only the fields {!join} moves are used *)
   (* Scratch for single-pattern cone evaluation ({!ce_distinguishes}) —
      an epoch-stamped memo, so repeated cone walks under different
      assignments reuse the arrays without clearing them. *)
@@ -99,50 +88,26 @@ type t = {
   net : A.t;
   ctxs : domain_ctx array;
   budget : Obs.Budget.t;
+  stats : Stats.t;  (* the sweep's, written only on the calling domain *)
   certify : bool;
-  conflict_limit : int option;
-  retry_schedule : int list;
+  conflict_limits : int list;
   cache : cache_ops option;
   cache_paranoid : bool;
 }
 
-let add_stats (a : Sat.Solver.stats) (b : Sat.Solver.stats) =
-  {
-    Sat.Solver.decisions = a.decisions + b.decisions;
-    conflicts = a.conflicts + b.conflicts;
-    propagations = a.propagations + b.propagations;
-    learned = a.learned + b.learned;
-    solve_calls = a.solve_calls + b.solve_calls;
-    reductions = a.reductions + b.reductions;
-    gcs = a.gcs + b.gcs;
-  }
-
-let no_stats =
-  {
-    Sat.Solver.decisions = 0;
-    conflicts = 0;
-    propagations = 0;
-    learned = 0;
-    solve_calls = 0;
-    reductions = 0;
-    gcs = 0;
-  }
-
-let create ~domains ~certify ~conflict_limit ~retry_schedule ~cache
-    ~cache_paranoid net budget =
+let create ~domains ~certify ~conflict_limits ~cache ~cache_paranoid net
+    budget stats =
   let domains = max 1 domains in
   let ctxs =
     Array.init domains (fun _ ->
         let solver = Sat.Solver.create () in
         (* Thousands of small queries share this solver: size its
            learnt-DB ceiling to the largest per-query conflict budget
-           (the last retry rung) rather than a whole-run default, so
-           LBD reduction keeps the database proportional to a query. *)
-        (match conflict_limit with
-        | Some base ->
-          let top = List.fold_left max base retry_schedule in
-          Sat.Solver.set_max_learnts solver (max 2000 (4 * top))
-        | None -> ());
+           rather than a whole-run default, so LBD reduction keeps the
+           database proportional to a query. *)
+        if conflict_limits <> [] then
+          Sat.Solver.set_max_learnts solver
+            (max 2000 (4 * List.fold_left max 0 conflict_limits));
         let cert =
           if certify then begin
             (* Per-domain proof stream: the checker must observe this
@@ -159,7 +124,7 @@ let create ~domains ~certify ~conflict_limit ~retry_schedule ~cache
           cert;
           charged_conflicts = 0;
           charged_propagations = 0;
-          cone_stats = no_stats;
+          counts = Stats.create ();
           eval_val = [||];
           eval_stamp = [||];
           eval_epoch = 0;
@@ -170,16 +135,50 @@ let create ~domains ~certify ~conflict_limit ~retry_schedule ~cache
     net;
     ctxs;
     budget;
+    stats;
     certify;
-    conflict_limit;
-    retry_schedule;
+    conflict_limits;
     cache;
     cache_paranoid;
   }
 
-let domains t = Array.length t.ctxs
+let add_solver (s : Stats.t) (x : Sat.Solver.stats) =
+  s.sat_decisions <- s.sat_decisions + x.decisions;
+  s.sat_conflicts <- s.sat_conflicts + x.conflicts;
+  s.sat_propagations <- s.sat_propagations + x.propagations;
+  s.sat_learned <- s.sat_learned + x.learned
 
-let shutdown t = Sutil.Par.Pool.shutdown t.pool
+(* The pool's one way into the sweep's [Stats]: once the workers have
+   joined, the calling domain moves every member's counters over. *)
+let join t =
+  let s = t.stats in
+  Array.iter
+    (fun dc ->
+      let m = dc.counts in
+      s.sat_sat <- s.sat_sat + m.Stats.sat_sat;
+      s.sat_unsat <- s.sat_unsat + m.sat_unsat;
+      s.sat_undet <- s.sat_undet + m.sat_undet;
+      s.sat_retries <- s.sat_retries + m.sat_retries;
+      s.certified_unsat <- s.certified_unsat + m.certified_unsat;
+      s.certified_models <- s.certified_models + m.certified_models;
+      s.certificate_rejected <-
+        s.certificate_rejected + m.certificate_rejected;
+      s.cache_hits <- s.cache_hits + m.cache_hits;
+      s.cache_misses <- s.cache_misses + m.cache_misses;
+      s.cache_rejected <- s.cache_rejected + m.cache_rejected;
+      s.sat_decisions <- s.sat_decisions + m.sat_decisions;
+      s.sat_conflicts <- s.sat_conflicts + m.sat_conflicts;
+      s.sat_propagations <- s.sat_propagations + m.sat_propagations;
+      s.sat_learned <- s.sat_learned + m.sat_learned;
+      dc.counts <- Stats.create ())
+    t.ctxs
+
+let shutdown t =
+  Sutil.Par.Pool.shutdown t.pool;
+  Array.iter
+    (fun dc -> add_solver dc.counts (Sat.Solver.stats dc.solver))
+    t.ctxs;
+  join t
 
 (* Evaluate both cones under a counterexample and report whether it
    tells [nd] and [r]-with-[compl] apart. The walk uses it to skip
@@ -238,7 +237,7 @@ let vet t dc nd r compl = function
    work charged to the shared budget. Any domain's charge can trip the
    sticky conflict/propagation caps; the budget checks in every walk
    then stop the whole pool. *)
-let query t dc ?assume ~conflict_limit nd r compl =
+let query t dc ?assume ?conflict_limit nd r compl =
   let answer =
     T.check_equiv ?conflict_limit
       ?deadline:(Obs.Budget.deadline t.budget)
@@ -262,7 +261,7 @@ let query t dc ?assume ~conflict_limit nd r compl =
    conflict schedule, and its verdict is stored; undetermined and
    rejected answers never are, so a warm sweep replays the cold run's
    verdicts. Returns the answer and whether the store served it. *)
-let query_cached t dc ops counts ~conflict_limits nd r compl =
+let query_cached t dc ops ~conflict_limits nd r compl =
   let pc = Cone_cert.extract t.net (L.of_node nd false) (L.of_node r compl) in
   let key = pc.Cone_cert.pc_key in
   (* Entries hold counterexamples over the extracted cone's PIs. *)
@@ -283,11 +282,12 @@ let query_cached t dc ops counts ~conflict_limits nd r compl =
     ignore
       (Obs.Budget.charge ~conflicts:s.conflicts ~propagations:s.propagations
          t.budget);
-    dc.cone_stats <- add_stats dc.cone_stats s;
+    let counts = dc.counts in
+    add_solver counts s;
     (* Each retried call was an undetermined outcome, as in the
        incremental strategy's schedule. *)
-    counts.n_undet <- counts.n_undet + cs.Cone_cert.s_retries;
-    counts.n_retries <- counts.n_retries + cs.Cone_cert.s_retries;
+    counts.sat_undet <- counts.sat_undet + cs.Cone_cert.s_retries;
+    counts.sat_retries <- counts.sat_retries + cs.Cone_cert.s_retries;
     let store e = ops.cache_store ~key (Cone_cert.entry_to_json e) in
     let answer =
       match outcome with
@@ -306,13 +306,13 @@ let query_cached t dc ops counts ~conflict_limits nd r compl =
     (answer, false)
   in
   let reject () =
-    counts.n_cache_rejected <- counts.n_cache_rejected + 1;
+    dc.counts.cache_rejected <- dc.counts.cache_rejected + 1;
     solve ()
   in
   match ops.cache_find ~key with
   | Cache_corrupt -> reject ()
   | Cache_miss ->
-    counts.n_cache_misses <- counts.n_cache_misses + 1;
+    dc.counts.cache_misses <- dc.counts.cache_misses + 1;
     solve ()
   | Cache_hit body -> (
     match Cone_cert.entry_of_json body with
@@ -336,39 +336,44 @@ let query_cached t dc ops counts ~conflict_limits nd r compl =
 (* One query under the pool's strategy: the answer, whether the cache
    served it, and the part of the conflict schedule still unused — the
    cache strategy's throwaway solver runs the whole schedule itself. *)
-let ask t dc counts nd c limit schedule =
-  match t.cache with
-  | None ->
-    (query t dc ~conflict_limit:limit nd c.c_rep c.c_compl, false, schedule)
-  | Some ops ->
-    let conflict_limits =
-      match limit with None -> [] | Some l -> l :: schedule
-    in
+let ask t dc nd c limits =
+  match (t.cache, limits) with
+  | None, [] -> (query t dc nd c.c_rep c.c_compl, false, [])
+  | None, limit :: later ->
+    (query t dc ~conflict_limit:limit nd c.c_rep c.c_compl, false, later)
+  | Some ops, _ ->
     let answer, served =
-      query_cached t dc ops counts ~conflict_limits nd c.c_rep c.c_compl
+      query_cached t dc ops ~conflict_limits:limits nd c.c_rep c.c_compl
     in
     (answer, served, [])
 
-(* One answer becomes counters here and nowhere else. *)
-let tally t counts ~served = function
+(* One answer becomes counters here and nowhere else, in the answering
+   member's own counters. *)
+let tally t dc nd ~served answer =
+  let s = dc.counts in
+  match answer with
   | T.Equivalent | T.Counterexample _ when served ->
-    counts.n_cache_hits <- counts.n_cache_hits + 1
+    s.cache_hits <- s.cache_hits + 1
   | T.Equivalent ->
-    counts.n_unsat <- counts.n_unsat + 1;
-    if t.certify then counts.n_cert_unsat <- counts.n_cert_unsat + 1
+    s.sat_unsat <- s.sat_unsat + 1;
+    if t.certify then s.certified_unsat <- s.certified_unsat + 1
   | T.Counterexample _ ->
-    counts.n_sat <- counts.n_sat + 1;
-    if t.certify then counts.n_cert_models <- counts.n_cert_models + 1
-  | T.Undetermined -> counts.n_undet <- counts.n_undet + 1
-  | T.Uncertified _ -> counts.n_cert_rejected <- counts.n_cert_rejected + 1
+    s.sat_sat <- s.sat_sat + 1;
+    if t.certify then s.certified_models <- s.certified_models + 1
+  | T.Undetermined -> s.sat_undet <- s.sat_undet + 1
+  | T.Uncertified _ ->
+    s.certificate_rejected <- s.certificate_rejected + 1;
+    Obs.Trace.emitf
+      "certificate rejected — node %d keeps its structural translation" nd
 
 (* Walk one task's candidate list on one domain: window checks were
-   resolved at collect time, stats and map writes wait for the merge
-   phase. *)
-let solve_task t dc task res =
-  let counts = res.r_counts in
+   resolved at collect time, map writes wait for the merge phase. A
+   candidate whose conflict schedule runs dry goes to [hard] — a
+   cube-and-conquer target, its result [Exhausted] until then. *)
+let solve_task t dc task res ~hard =
+  let nd = task.t_node in
   let rec walk = function
-    | [] -> res.r_outcome <- Exhausted
+    | [] -> ()
     | c :: rest ->
       if Obs.Budget.check t.budget <> None then res.r_outcome <- Stopped
       else if c.c_window_eq then
@@ -380,96 +385,140 @@ let solve_task t dc task res =
            never be skipped (no counterexample distinguishes it), so
            merges are unaffected. *)
         List.exists
-          (fun ce -> ce_distinguishes dc t.net ce task.t_node c.c_rep c.c_compl)
+          (fun ce -> ce_distinguishes dc t.net ce nd c.c_rep c.c_compl)
           res.r_ces
       then walk rest
       else begin
-        let rec attempt limit schedule =
-          let answer, served, schedule =
-            ask t dc counts task.t_node c limit schedule
-          in
-          tally t counts ~served answer;
+        let rec attempt limits =
+          let answer, served, later = ask t dc nd c limits in
+          tally t dc nd ~served answer;
           match answer with
           | T.Equivalent ->
             res.r_outcome <- Merged (L.of_node c.c_rep c.c_compl, false)
           | T.Uncertified _ ->
             (* Degrade, never trust: the node keeps its structural
                translation. *)
-            res.r_outcome <- Exhausted
+            ()
           | T.Counterexample ce ->
             res.r_ces <- ce :: res.r_ces;
             walk rest
           | T.Undetermined -> (
-            match schedule with
-            | next :: later when Obs.Budget.check_now t.budget = None ->
-              counts.n_retries <- counts.n_retries + 1;
-              attempt (Some next) later
-            | _ :: _ -> res.r_outcome <- Stopped
-            | [] ->
-              if Obs.Budget.check_now t.budget <> None then
-                res.r_outcome <- Stopped
-              else res.r_outcome <- Hard c)
+            match later with
+            | _ when Obs.Budget.check_now t.budget <> None ->
+              res.r_outcome <- Stopped
+            | [] -> hard c
+            | _ :: _ ->
+              dc.counts.sat_retries <- dc.counts.sat_retries + 1;
+              attempt later)
         in
-        attempt t.conflict_limit t.retry_schedule
+        attempt t.conflict_limits
       end
   in
   walk task.t_cands
 
+(* Cube width: enough cubes to keep the pool busy (>= 2 per domain),
+   capped at 4 variables (16 cubes) and by the cone's PI count. *)
+let cube_vars ~domains ~available =
+  if available = 0 then 0
+  else begin
+    let rec bits k = if 1 lsl k >= 2 * domains then k else bits (k + 1) in
+    min (min 4 available) (bits 1)
+  end
+
+(* Re-attack the wave's hard pairs ([(slot, candidate)], task order)
+   cube-and-conquer style: enumerate all 2^k assignments of k cone PIs
+   as assumption cubes and solve them across the pool on the members'
+   incremental solvers under the schedule's last conflict limit (the
+   cube joins the query assumptions, so certified UNSATs replay under
+   their own cube). A pair merges only if every cube of its complete
+   enumeration is UNSAT; any SAT cube is an ordinary, validated
+   counterexample. Cube verdicts are never stored. A pair with no cone
+   PI stays [Exhausted]; once the budget is gone every one is
+   [Stopped]. *)
+let cube_phase t tasks results hard =
+  if Obs.Budget.check t.budget <> None then
+    List.iter (fun (j, _) -> results.(j).r_outcome <- Stopped) hard
+  else begin
+    let splits =
+      List.filter_map
+        (fun (j, c) ->
+          let pis = Aig.Cone.leaves t.net [ tasks.(j).t_node; c.c_rep ] in
+          match
+            cube_vars ~domains:(Array.length t.ctxs)
+              ~available:(List.length pis)
+          with
+          | 0 -> None
+          | k ->
+            let pis = List.filteri (fun i _ -> i < k) pis in
+            Some
+              ( j,
+                c,
+                List.init (1 lsl k) (fun m ->
+                    List.mapi (fun b pi -> (pi, (m lsr b) land 1 = 1)) pis) ))
+        hard
+    in
+    let queries =
+      Array.of_list
+        (List.concat_map
+           (fun (j, c, cubes) -> List.map (fun cube -> (j, c, cube)) cubes)
+           splits)
+    in
+    let n = Array.length queries in
+    if n > 0 then begin
+      t.stats.cube_splits <- t.stats.cube_splits + List.length splits;
+      t.stats.cube_queries <- t.stats.cube_queries + n;
+      Obs.Trace.emitf "cube-and-conquer: %d hard pairs, %d cube queries"
+        (List.length splits) n;
+      let conflict_limit =
+        match List.rev t.conflict_limits with l :: _ -> Some l | [] -> None
+      in
+      let answers = Array.make n T.Undetermined in
+      Sutil.Par.Pool.drain t.pool n (fun ~domain i ->
+          let dc = t.ctxs.(domain) and j, c, cube = queries.(i) in
+          let nd = tasks.(j).t_node in
+          if Obs.Budget.check t.budget = None then begin
+            let assume =
+              List.map
+                (fun (pi, v) ->
+                  Sat.Solver.lit_of (T.var_of_node dc.env pi) (not v))
+                cube
+            in
+            answers.(i) <-
+              query t dc ~assume ?conflict_limit nd c.c_rep c.c_compl
+          end;
+          tally t dc nd ~served:false answers.(i));
+      (* Counterexamples enter in cube order; any cube that is not UNSAT
+         leaves its pair unmerged. *)
+      List.iter
+        (fun (j, c, _) ->
+          results.(j).r_outcome <- Merged (L.of_node c.c_rep c.c_compl, false))
+        splits;
+      Array.iteri
+        (fun i (j, _, _) ->
+          let res = results.(j) in
+          match answers.(i) with
+          | T.Equivalent -> ()
+          | T.Counterexample ce ->
+            res.r_ces <- ce :: res.r_ces;
+            res.r_outcome <- Exhausted
+          | T.Undetermined | T.Uncertified _ -> res.r_outcome <- Exhausted)
+        queries
+    end
+  end
+
 let run_wave t tasks =
   let results =
-    Array.map
-      (fun _ ->
-        {
-          r_outcome = Exhausted;
-          r_ces = [];
-          r_counts =
-            {
-              n_unsat = 0;
-              n_sat = 0;
-              n_undet = 0;
-              n_retries = 0;
-              n_cert_unsat = 0;
-              n_cert_models = 0;
-              n_cert_rejected = 0;
-              n_cache_hits = 0;
-              n_cache_misses = 0;
-              n_cache_rejected = 0;
-            };
-        })
-      tasks
+    Array.map (fun _ -> { r_outcome = Exhausted; r_ces = [] }) tasks
   in
+  let hard = Array.make (Array.length tasks) None in
   Sutil.Par.Pool.drain t.pool (Array.length tasks) (fun ~domain i ->
-      solve_task t t.ctxs.(domain) tasks.(i) results.(i));
+      solve_task t t.ctxs.(domain) tasks.(i) results.(i) ~hard:(fun c ->
+          hard.(i) <- Some c));
+  let hard =
+    Array.to_seqi hard
+    |> Seq.filter_map (fun (j, c) -> Option.map (fun c -> (j, c)) c)
+    |> List.of_seq
+  in
+  if hard <> [] then cube_phase t tasks results hard;
+  join t;
   results
-
-(* ---- cube-and-conquer ---- *)
-
-type cube_query = {
-  q_node : int;
-  q_rep : int;
-  q_compl : bool;
-  q_cube : (int * bool) list;  (* PI node -> forced value *)
-}
-
-let run_cubes t ~conflict_limit queries =
-  let answers = Array.make (Array.length queries) T.Undetermined in
-  Sutil.Par.Pool.drain t.pool (Array.length queries) (fun ~domain i ->
-      if Obs.Budget.check t.budget = None then begin
-        let dc = t.ctxs.(domain) in
-        let q = queries.(i) in
-        let assume =
-          List.map
-            (fun (pi, v) ->
-              Sat.Solver.lit_of (T.var_of_node dc.env pi) (not v))
-            q.q_cube
-        in
-        answers.(i) <-
-          query t dc ~assume ~conflict_limit q.q_node q.q_rep q.q_compl
-      end);
-  answers
-
-let solver_stats t =
-  Array.fold_left
-    (fun acc dc ->
-      add_stats (add_stats acc (Sat.Solver.stats dc.solver)) dc.cone_stats)
-    no_stats t.ctxs

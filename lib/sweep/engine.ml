@@ -32,8 +32,7 @@ type cache_ops = Dispatch.cache_ops = {
 type config = {
   seed : int64;
   initial_words : int;
-  conflict_limit : int option;
-  retry_schedule : int list;
+  conflict_limits : int list;
   resim_batch : int;
   max_compares : int;
   guided_init : bool;
@@ -58,8 +57,7 @@ let fraig_config =
   {
     seed = 0xF4A16L;
     initial_words = 8;
-    conflict_limit = None;
-    retry_schedule = [];
+    conflict_limits = [];
     resim_batch = 32;
     max_compares = 1000;
     guided_init = false;
@@ -414,15 +412,14 @@ let window_verdict st nd r =
    translate old nodes on the calling domain, resolving structural
    hits and window verdicts on the spot; a node whose walk still needs
    a query becomes a task carrying its pre-filtered candidate list.
-   Solve: the network frozen, the solver pool drains the tasks
-   ({!Dispatch.run_wave}), each member answering queries with its own
-   incremental solver or, with the cache armed, through the cache.
-   Cube: tasks whose retry schedule ran dry are split over all
-   assignments of a few cone PIs and re-attacked across the pool.
-   Merge: the calling domain — the single writer — applies results in
-   task order: proven merges into the map, counterexamples into the
-   pattern set (batched into shared resimulations), counters into
-   stats.
+   Solve: the network frozen, the solver pool answers the tasks
+   completely ({!Dispatch.run_wave}): each member answers queries with
+   its own incremental solver or, with the cache armed, through the
+   cache; pairs whose conflict schedule ran dry are re-attacked
+   cube-and-conquer style; the members' counters join [Stats]. Merge:
+   the calling domain — the single writer — applies results in task
+   order: proven merges into the map, counterexamples into the pattern
+   set (batched into shared resimulations).
 
    A wave ends before the first old node with a fanin whose task still
    awaits its verdict. Every node is therefore translated through its
@@ -489,110 +486,21 @@ let collect st nd =
   in
   walk 0 [] reps
 
-let last_conflict_limit cfg =
-  match List.rev cfg.retry_schedule with
-  | top :: _ -> Some top
-  | [] -> cfg.conflict_limit
+(* One proven merge into the map and the merge counters — a window
+   merge settled at collect time and a task's [Merged] alike. *)
+let commit st map old_nd l lit ~window ~cut =
+  let s = st.stats in
+  if window then begin
+    s.Stats.window_merges <- s.Stats.window_merges + 1;
+    if cut then s.Stats.cut_merges <- s.Stats.cut_merges + 1
+  end;
+  s.Stats.merges <- s.Stats.merges + 1;
+  if L.is_const lit then s.Stats.const_merges <- s.Stats.const_merges + 1;
+  map.(old_nd) <- L.xor_compl lit (L.is_compl l)
 
-(* Cube width: enough cubes to keep the pool busy (>= 2 per domain),
-   capped at 4 variables (16 cubes) and by the cone's PI count. *)
-let cube_vars ~domains ~available =
-  if available = 0 then 0
-  else begin
-    let rec bits k = if 1 lsl k >= 2 * domains then k else bits (k + 1) in
-    min (min 4 available) (bits 1)
-  end
-
-let rec take n = function
-  | [] -> []
-  | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-
-(* Re-attack the wave's hard tasks cube-and-conquer style: enumerate all
-   2^k assignments of k cone PIs as assumption cubes and solve them
-   across the pool. A pair merges only if every cube of its complete
-   enumeration is UNSAT (each certified in certified mode); any SAT cube
-   is an ordinary counterexample. *)
-let cube_phase st disp tasks results =
-  let hard = ref [] in
-  Array.iteri
-    (fun j (res : Dispatch.result) ->
-      match res.Dispatch.r_outcome with
-      | Dispatch.Hard c -> hard := (j, c) :: !hard
-      | _ -> ())
-    results;
-  let hard = List.rev !hard in
-  if hard <> [] && budget_ok st "sat" then begin
-    let queries = ref [] and nq = ref 0 and spans = ref [] in
-    List.iter
-      (fun (j, (c : Dispatch.cand)) ->
-        let node = tasks.(j).Dispatch.t_node in
-        let pis = Aig.Cone.leaves st.fresh [ node; c.Dispatch.c_rep ] in
-        let k =
-          cube_vars ~domains:(Dispatch.domains disp)
-            ~available:(List.length pis)
-        in
-        if k > 0 then begin
-          let pis = take k pis in
-          st.stats.Stats.cube_splits <- st.stats.Stats.cube_splits + 1;
-          spans := (j, c, 1 lsl k, !nq) :: !spans;
-          for m = 0 to (1 lsl k) - 1 do
-            queries :=
-              {
-                Dispatch.q_node = node;
-                q_rep = c.Dispatch.c_rep;
-                q_compl = c.Dispatch.c_compl;
-                q_cube = List.mapi (fun b pi -> (pi, (m lsr b) land 1 = 1)) pis;
-              }
-              :: !queries;
-            incr nq
-          done
-        end)
-      hard;
-    let qarr = Array.of_list (List.rev !queries) in
-    if Array.length qarr > 0 then begin
-      st.stats.Stats.cube_queries <-
-        st.stats.Stats.cube_queries + Array.length qarr;
-      Obs.Trace.emitf "cube-and-conquer: %d hard pairs, %d cube queries"
-        (List.length !spans) (Array.length qarr);
-      let answers =
-        timed st `Sat (fun () ->
-            Dispatch.run_cubes disp
-              ~conflict_limit:(last_conflict_limit st.cfg)
-              qarr)
-      in
-      List.iter
-        (fun (j, (c : Dispatch.cand), ncubes, start) ->
-          let res = results.(j) in
-          let counts = res.Dispatch.r_counts in
-          let all_unsat = ref true in
-          for i = start to start + ncubes - 1 do
-            Dispatch.tally disp counts ~served:false answers.(i);
-            match answers.(i) with
-            | Sat.Tseitin.Equivalent -> ()
-            | Sat.Tseitin.Counterexample ce ->
-              all_unsat := false;
-              res.Dispatch.r_ces <- ce :: res.Dispatch.r_ces
-            | Sat.Tseitin.Undetermined | Sat.Tseitin.Uncertified _ ->
-              all_unsat := false
-          done;
-          res.Dispatch.r_outcome <-
-            (if !all_unsat then
-               Dispatch.Merged
-                 (L.of_node c.Dispatch.c_rep c.Dispatch.c_compl, false)
-             else Dispatch.Exhausted))
-        (List.rev !spans)
-    end
-  end
-
-let count_window_merge s ~cut =
-  s.Stats.window_merges <- s.Stats.window_merges + 1;
-  if cut then s.Stats.cut_merges <- s.Stats.cut_merges + 1
-
-(* Merge phase for one task: fold the worker's counters into stats —
-   the one place query outcomes become [Stats] — apply its
-   counterexamples (validated by the worker) in attempt order, then
-   apply the proven merge (if any) to the translation map. Runs only on
-   the calling domain.
+(* Merge phase for one task: apply its counterexamples (validated by
+   the worker) in attempt order, then its proven merge (if any). Runs
+   only on the calling domain.
 
    [seen] deduplicates counterexample patterns across the whole sweep:
    tasks walk classes frozen since the last resimulation, so different
@@ -602,24 +510,7 @@ let count_window_merge s ~cut =
    SAT answers. The query still counts into [sat_sat]; only the
    redundant pattern is dropped, so [ce_patterns] counts patterns that
    actually entered the simulation set. *)
-let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
-    (old_nd, l, cut) =
-  let c = res.Dispatch.r_counts and s = st.stats in
-  s.Stats.sat_unsat <- s.Stats.sat_unsat + c.Dispatch.n_unsat;
-  s.sat_sat <- s.sat_sat + c.n_sat;
-  s.sat_undet <- s.sat_undet + c.n_undet;
-  s.sat_retries <- s.sat_retries + c.n_retries;
-  s.certified_unsat <- s.certified_unsat + c.n_cert_unsat;
-  s.certified_models <- s.certified_models + c.n_cert_models;
-  s.cache_hits <- s.cache_hits + c.n_cache_hits;
-  s.cache_misses <- s.cache_misses + c.n_cache_misses;
-  s.cache_rejected <- s.cache_rejected + c.n_cache_rejected;
-  if c.n_cert_rejected > 0 then begin
-    s.certificate_rejected <- s.certificate_rejected + c.n_cert_rejected;
-    Obs.Trace.emitf
-      "certificate rejected — node %d keeps its structural translation"
-      task.Dispatch.t_node
-  end;
+let apply_result st seen (res : Dispatch.result) map (old_nd, l, cut) =
   List.iter
     (fun ce ->
       let key =
@@ -631,12 +522,8 @@ let apply_result st seen (task : Dispatch.task) (res : Dispatch.result) map
       end)
     (List.rev res.Dispatch.r_ces);
   match res.Dispatch.r_outcome with
-  | Dispatch.Merged (lit, via_window) ->
-    if via_window then count_window_merge s ~cut;
-    s.merges <- s.merges + 1;
-    if L.is_const lit then s.const_merges <- s.const_merges + 1;
-    map.(old_nd) <- L.xor_compl lit (L.is_compl l)
-  | Dispatch.Exhausted | Dispatch.Hard _ -> ()
+  | Dispatch.Merged (lit, window) -> commit st map old_nd l lit ~window ~cut
+  | Dispatch.Exhausted -> ()
   | Dispatch.Stopped -> (
     match Obs.Budget.exhausted st.budget with
     | Some reason -> note_exhausted st reason "sat"
@@ -646,22 +533,10 @@ let sweep_ands st old_net map tr =
   let cfg = st.cfg in
   let disp =
     Dispatch.create ~domains:cfg.sat_domains ~certify:cfg.certify
-      ~conflict_limit:cfg.conflict_limit ~retry_schedule:cfg.retry_schedule
-      ~cache:cfg.cache ~cache_paranoid:cfg.cache_paranoid st.fresh st.budget
+      ~conflict_limits:cfg.conflict_limits ~cache:cfg.cache
+      ~cache_paranoid:cfg.cache_paranoid st.fresh st.budget st.stats
   in
-  Fun.protect
-    ~finally:(fun () ->
-      let ds = Dispatch.solver_stats disp in
-      st.stats.Stats.sat_decisions <-
-        st.stats.Stats.sat_decisions + ds.Sat.Solver.decisions;
-      st.stats.Stats.sat_conflicts <-
-        st.stats.Stats.sat_conflicts + ds.Sat.Solver.conflicts;
-      st.stats.Stats.sat_propagations <-
-        st.stats.Stats.sat_propagations + ds.Sat.Solver.propagations;
-      st.stats.Stats.sat_learned <-
-        st.stats.Stats.sat_learned + ds.Sat.Solver.learned;
-      Dispatch.shutdown disp)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Dispatch.shutdown disp) @@ fun () ->
   let ands = ref [] in
   A.iter_ands old_net (fun nd -> ands := nd :: !ands);
   let ands = Array.of_list (List.rev !ands) in
@@ -701,11 +576,7 @@ let sweep_ands st old_net map tr =
         match collect st (L.node l) with
         | C_none -> ()
         | C_merge (merged, cut) ->
-          count_window_merge st.stats ~cut;
-          st.stats.Stats.merges <- st.stats.Stats.merges + 1;
-          if L.is_const merged then
-            st.stats.Stats.const_merges <- st.stats.Stats.const_merges + 1;
-          map.(old_nd) <- L.xor_compl merged (L.is_compl l)
+          commit st map old_nd l merged ~window:true ~cut
         | C_task (cands, cut) ->
           tasks := { Dispatch.t_node = L.node l; t_cands = cands } :: !tasks;
           infos := (old_nd, l, cut) :: !infos;
@@ -719,13 +590,12 @@ let sweep_ands st old_net map tr =
       let results =
         timed st `Sat (fun () -> Dispatch.run_wave disp tasks)
       in
-      cube_phase st disp tasks results;
       (* Merge: single writer, task order. *)
       Array.iteri
         (fun j res ->
           let ((old_nd, _, _) as info) = infos.(j) in
           awaiting.(old_nd) <- false;
-          apply_result st seen_ces tasks.(j) res map info)
+          apply_result st seen_ces res map info)
         results
     end
   done
@@ -809,32 +679,6 @@ let run ?(config = stp_config) old_net =
   (* The fresh network still holds nodes that lost their fanout to a
      merge; a cleanup pass drops them. *)
   let result, _ = A.cleanup st.fresh in
-  (* Opt-in self-check: cross-check every PO of the result against the
-     input under fresh random patterns. A cheap necessary condition —
-     {!Selfcheck.run} adds the full CEC pass on top. Runs outside the
-     budget: a degraded result must still verify. *)
-  if config.verify then begin
-    let vpats =
-      P.random ~seed:(Rng.int64 rng) ~num_pis ~num_patterns:(32 * 8)
-    in
-    let np = P.num_patterns vpats in
-    let simulate net = Sim.Kernel.execute (Sim.Kernel.compile_aig net) vpats in
-    let ta = simulate old_net and tb = simulate result in
-    Array.iteri
-      (fun o la ->
-        let sa = Sim.Bitwise.po_signature ta ~num_patterns:np ~lit:la in
-        let sb =
-          Sim.Bitwise.po_signature tb ~num_patterns:np ~lit:(A.po result o)
-        in
-        if not (Sg.equal sa sb) then
-          raise
-            (Verification_failed
-               (Printf.sprintf
-                  "post-sweep bitwise check: PO %d differs from the input \
-                   network"
-                  o)))
-      (A.pos old_net)
-  end;
   stats.Stats.total_time <- Obs.Clock.now () -. t_start;
   Obs.Trace.emitf "sweep done: %d -> %d ANDs, %d merges, %.3fs"
     (A.num_ands old_net) (A.num_ands result) stats.Stats.merges

@@ -8,6 +8,13 @@
     (window exactness or UNSAT), so the result is always functionally
     equivalent to the input.
 
+    The engine collects and applies. Structural hits and window
+    verdicts settle on the spot; every candidate walk that still needs a
+    SAT query goes, in waves, to the solver pool ({!Dispatch}), which
+    answers it completely — retries, cube splits and the query counters
+    in {!Stats} included. The engine then applies the proven merges and
+    the counterexamples in node order.
+
     The [&fraig]-style baseline and the paper's STP sweeper are the same
     engine under different configurations: the STP configuration adds
     SAT-guided initial patterns and two exhaustive window tiers in front
@@ -21,12 +28,11 @@
     and {!fraig_config}), and every caller — the pass manager, the CLIs,
     the daemon, the ablation benches — adjusts one of the two presets by
     functional update, e.g.
-    [{ stp_config with conflict_limit = Some 100; certify = true }]. *)
+    [{ stp_config with conflict_limits = [ 100 ]; certify = true }]. *)
 
 exception Verification_failed of string
-(** Raised by {!run} when [config.verify] is set and the swept network
-    disagrees with the input on some PO — see also {!Selfcheck.run},
-    which adds a full CEC pass. *)
+(** Raised by {!Selfcheck.run} when [config.verify] is set and the swept
+    network cannot be proven equivalent to the input. *)
 
 type cache_found = Dispatch.cache_found =
   | Cache_hit of Obs.Json.t  (** the stored entry body, still untrusted *)
@@ -54,12 +60,15 @@ type config = {
   seed : int64;
   initial_words : int;
       (** random initial pattern words (32 patterns each) *)
-  conflict_limit : int option;
-      (** per-query budget; [None] reproduces the paper's disabled limit *)
-  retry_schedule : int list;
-      (** escalating conflict limits re-tried (budget permitting) on a
-          pair whose first query came back undetermined; [[]] = single
-          attempt. Each entry is one extra query with that limit. *)
+  conflict_limits : int list;
+      (** the per-query conflict schedule. [[]] (the presets) is one
+          unlimited attempt — the paper's disabled limit. Otherwise
+          attempt [i] of a pair runs under element [i]: a pair the first
+          limit leaves undetermined is re-tried (budget permitting)
+          under each later one in turn, each retry counted in
+          [Stats.sat_retries]. A pair still undetermined after the last
+          becomes a cube-and-conquer target, whose cubes each run under
+          the last limit. The shape {!Cone_cert.solve} takes. *)
   resim_batch : int;
       (** counter-examples accumulated before a batch resimulation *)
   max_compares : int;
@@ -96,12 +105,12 @@ type config = {
           cache instead. The engine collects per-node candidate tasks
           in waves, each ending before the first node with a fanin
           whose task awaits its verdict, freezes the network while the
-          pool drains them, then applies the results in task order as
-          the single writer. A one-domain pool runs its tasks on the
-          calling domain and spawns nothing. While every query is
-          answered (no conflict limit, no budget cut) the swept network
-          is the same for every pool size, cached or not. See DESIGN.md
-          "Parallel dispatch". *)
+          pool answers them completely, then applies the results in
+          task order as the single writer. A one-domain pool runs its
+          tasks on the calling domain and spawns nothing. While every
+          query is answered (no conflict limit, no budget cut) the
+          swept network is the same for every pool size, cached or
+          not. See DESIGN.md "Parallel dispatch". *)
   budget : Obs.Budget.t option;
       (** the budget the sweep runs under; [None] = unlimited. A
           standalone call builds one ([Some (Obs.Budget.create ~timeout
@@ -119,11 +128,11 @@ type config = {
           cap is bounded by one query's conflict limit (charges are
           per-query). *)
   verify : bool;
-      (** post-sweep self-check: cross-simulate input and result on
-          fresh random patterns and raise {!Verification_failed} on any
-          PO mismatch. Cheap relative to a sweep; {!Selfcheck.run} (and
-          so both sweepers) adds the full SAT-backed CEC when it is
-          set. *)
+      (** post-sweep self-check, read by {!Selfcheck.run} (and so by
+          both sweepers and the [sweep] pass), not by {!run}: prove the
+          result equivalent to the input with {!Cec.check}, under
+          {!Obs.Fault.bypass}, and raise {!Verification_failed} if it
+          cannot. *)
   certify : bool;
       (** certified mode: a {!Sat.Drup} checker replays the solver's
           proof stream, UNSAT-driven merges are accepted only after
@@ -141,7 +150,8 @@ type config = {
           pair into a canonical standalone cone ({!Cone_cert}), looks
           it up by content key, re-validates a hit, and otherwise
           proves the pair on a throwaway solver whose self-contained
-          certificate (or counterexample) it stores back. The walk, the
+          certificate (or counterexample) it stores back, running the
+          whole [conflict_limits] schedule there. The walk, the
           counting and the cube-and-conquer fallback are the uncached
           sweep's. Undetermined and cube verdicts are never stored, so
           a warm sweep replays the cold run's verdicts and writes the

@@ -138,28 +138,24 @@ let to_json t =
           Obj [ ("reason", String e.reason); ("phase", String e.phase) ] );
     ]
 
+(* Renders [to_json], so a counter is named in one place: one
+   [section: key=value ...] line per object, floats to the millisecond. *)
 let pp ppf t =
-  Format.fprintf ppf
-    "sat=%d unsat=%d undet=%d retries=%d merges=%d const=%d win_merge=%d \
-     cut_merge=%d win_split=%d ce=%d sim=%.3fs plan=%.3fs guided=%.3fs resim=%.3fs \
-     window=%.3fs sat_t=%.3fs total=%.3fs decisions=%d conflicts=%d props=%d \
-     learned=%d"
-    t.sat_sat t.sat_unsat t.sat_undet t.sat_retries t.merges t.const_merges
-    t.window_merges t.cut_merges t.window_splits t.ce_patterns t.sim_time
-    t.plan_compile_time t.guided_time t.resim_time t.window_time t.sat_time
-    t.total_time t.sat_decisions
-    t.sat_conflicts t.sat_propagations t.sat_learned;
-  if t.certified_unsat + t.certified_models + t.certificate_rejected > 0 then
-    Format.fprintf ppf " cert_unsat=%d cert_models=%d cert_rejected=%d"
-      t.certified_unsat t.certified_models t.certificate_rejected;
-  if t.guided_consts > 0 then
-    Format.fprintf ppf " guided_consts=%d" t.guided_consts;
-  if t.cube_splits > 0 then
-    Format.fprintf ppf " cube_splits=%d cube_queries=%d" t.cube_splits
-      t.cube_queries;
-  if t.cache_hits + t.cache_misses + t.cache_rejected > 0 then
-    Format.fprintf ppf " cache_hits=%d cache_misses=%d cache_rejected=%d"
-      t.cache_hits t.cache_misses t.cache_rejected;
-  match t.budget_exhausted with
-  | None -> ()
-  | Some e -> Format.fprintf ppf " budget_exhausted=%s/%s" e.reason e.phase
+  let open Obs.Json in
+  let rec value ppf = function
+    | Int i -> Format.pp_print_int ppf i
+    | Float f -> Format.fprintf ppf "%.3f" f
+    | String s -> Format.pp_print_string ppf s
+    | Obj fields ->
+      Format.pp_print_list ~pp_sep:Format.pp_print_space
+        (fun ppf (k, v) -> Format.fprintf ppf "%s=%a" k value v)
+        ppf fields
+    | v -> Format.pp_print_string ppf (to_string v)
+  in
+  match to_json t with
+  | Obj sections ->
+    Format.fprintf ppf "@[<v>%a@]"
+      (Format.pp_print_list (fun ppf (name, v) ->
+           Format.fprintf ppf "@[<hov 2>%s:@ %a@]" name value v))
+      sections
+  | v -> value ppf v

@@ -1,6 +1,13 @@
 (** Sweeping statistics — the quantities Table II reports, plus the
     phase breakdown and SAT-solver internals the run reports expose.
 
+    The query counters ([sat_*], [certified_*], the pool's share of
+    [certificate_rejected], [cache_*], [cube_*]) and the solver
+    internals are written by the solver pool ({!Dispatch}) alone: its
+    members count into private records that are added in on the
+    calling domain when each wave joins, and the incremental solvers'
+    totals when the pool shuts down. The engine writes the rest.
+
     "SAT calls" in the paper counts satisfiable outcomes; "Total SAT
     calls" adds unsatisfiable and undetermined ones. Window refinements
     are the STP engine's SAT-free merge/split decisions.
@@ -18,8 +25,11 @@
     - [window_time] — both window tiers: cut-frontier evaluation (with
       its DRUP replay in certified mode) and PI-support table
       construction/comparison;
-    - [sat_time] — equivalence queries in the CDCL solver (with a
-      cross-run cache armed, also its lookups, replays and stores);
+    - [sat_time] — the solver pool's waves ({!Dispatch.run_wave}):
+      equivalence queries in the CDCL solver, with a cross-run cache
+      armed also its lookups, replays and stores, and under a conflict
+      limit the cube-and-conquer re-attack including its set-up
+      (choosing cone PIs, building the cubes);
     - [total_time] — the whole sweep, including untimed glue, so the sum
       of the phases is always <= [total_time]. *)
 
@@ -78,7 +88,7 @@ type t = {
           with node 0), so this records guided work rather than extra
           merges. *)
   mutable cube_splits : int;
-      (** parallel dispatch: hard miters (retry schedule exhausted)
+      (** parallel dispatch: hard miters (conflict schedule exhausted)
           split cube-and-conquer style across the solver domains *)
   mutable cube_queries : int;
       (** parallel dispatch: per-cube solver queries issued by splits;
@@ -118,3 +128,7 @@ val to_json : t -> Obs.Json.t
     with [reason] and [phase]). Schema documented in EXPERIMENTS.md. *)
 
 val pp : Format.formatter -> t -> unit
+(** Renders {!to_json} as text, so both use the same names: one
+    [section: key=value ...] line per section ([counters], [phases_s]
+    in seconds to the millisecond, [sat_solver], [budget_exhausted]),
+    wrapped with a two-space indent. *)

@@ -31,7 +31,9 @@ let test_parse_valid () =
   check_int "four commands" 4 (List.length cmds);
   let names = List.map (fun ((t : Script.token), _) -> t.Script.text) cmds in
   check "names" true (names = [ "sweep"; "rewrite"; "balance"; "verify" ]);
-  let passes = Script.compile "sweep -e fraig --retry-schedule 10,100; ps" in
+  let passes =
+    Script.compile "sweep -e fraig --conflict-limit 5 --retry-schedule 10,100; ps"
+  in
   check_int "two passes" 2 (List.length passes);
   let sweep = List.hd passes in
   check_str "engine arg" "fraig" (List.assoc "engine" sweep.Pass.args);
@@ -66,6 +68,10 @@ let test_parse_errors () =
   expect_error "sweep --conflict-limit 0" "col 7: conflict-limit must be at least 1";
   expect_error "sweep --retry-schedule 100,-1"
     "col 7: retry-schedule must be at least 1, got -1";
+  expect_error "sweep --retry-schedule 10"
+    "col 7: retry-schedule needs --conflict-limit";
+  expect_error "sweep -e fraig --retry-schedule 10 --sat-domains 2"
+    "col 16: retry-schedule needs --conflict-limit";
   expect_error "sweep; balance;" "col 15: dangling ';'";
   expect_error ";sweep" "col 1: empty command";
   expect_error "" "empty script";
@@ -79,7 +85,7 @@ let pass_pool =
   [|
     "sweep -e stp";
     "sweep -e fraig";
-    "sweep -e stp --retry-schedule 50,200";
+    "sweep -e stp --conflict-limit 20 --retry-schedule 50,200";
     "rewrite";
     "rewrite -k 3";
     "balance";
@@ -189,8 +195,7 @@ let test_matches_direct_calls () =
       ~config:
         {
           Sweep.Engine.fraig_config with
-          conflict_limit = Some 1;
-          retry_schedule = [ 2 ];
+          conflict_limits = [ 1; 2 ];
         }
       b18
   in

@@ -340,7 +340,7 @@ let test_engine_ablation_configs () =
       { Sweep.Engine.fraig_config with Sweep.Engine.window_refine = true };
       { Sweep.Engine.stp_config with Sweep.Engine.window_max_leaves = 6 };
       { Sweep.Engine.stp_config with Sweep.Engine.max_compares = 2 };
-      { Sweep.Engine.stp_config with Sweep.Engine.conflict_limit = Some 1 };
+      { Sweep.Engine.stp_config with Sweep.Engine.conflict_limits = [ 1 ] };
       { Sweep.Engine.stp_config with Sweep.Engine.resim_batch = 1 };
       { Sweep.Engine.stp_config with Sweep.Engine.initial_words = 1 };
     ]
@@ -608,29 +608,103 @@ let test_dispatch_cube_and_conquer () =
   (* A starved conflict limit makes real miters exhaust the retry
      schedule, so hard candidates must reach the cube-and-conquer
      phase — and however the cubes come back, the result stays
-     equivalent. *)
+     equivalent: plain, certified (every cube's UNSAT replays under its
+     own cube), or with the cache strategy answering the walk. *)
   let rng = Rng.create 0xC0BE5L in
   let base = random_network rng ~pis:12 ~gates:400 ~pos:6 in
   let net = Gen.Redundant.inject ~seed:23L ~fraction:0.4 base in
-  let swept, st =
-    Sweep.Engine.run
-      ~config:
-        {
-          Sweep.Engine.fraig_config with
-          Sweep.Engine.sat_domains = 2;
-          conflict_limit = Some 1;
-          retry_schedule = [ 2 ];
-        }
-      net
+  List.iter
+    (fun (label, certify, cached) ->
+      with_cache_dir @@ fun dir ->
+      let cache =
+        if cached then Some (Svc.Cache.ops (Svc.Cache.open_ dir)) else None
+      in
+      let swept, st =
+        Sweep.Engine.run
+          ~config:
+            {
+              Sweep.Engine.fraig_config with
+              Sweep.Engine.sat_domains = 2;
+              conflict_limits = [ 1; 2 ];
+              certify;
+              cache;
+            }
+          net
+      in
+      check (label ^ ": function preserved") true (exhaustive_equal net swept);
+      (match Sweep.Cec.check net swept with
+      | Sweep.Cec.Equivalent -> ()
+      | _ -> Alcotest.failf "%s: cube-split sweep not CEC-equivalent" label);
+      check (label ^ ": hard candidates were cube-split") true
+        (st.Sweep.Stats.cube_splits > 0);
+      check (label ^ ": each split enumerated its cubes") true
+        (st.Sweep.Stats.cube_queries >= 2 * st.Sweep.Stats.cube_splits);
+      check_int (label ^ ": no certificate rejected") 0
+        st.Sweep.Stats.certificate_rejected;
+      check_report_roundtrip ("cube, " ^ label) st)
+    [
+      ("plain", false, false);
+      ("certified", true, false);
+      ("cached", false, true);
+    ]
+
+let test_dispatch_pool_counters () =
+  (* The pool is the one place query outcomes and solver totals become
+     [Stats], added in when its members join. Two independent meters
+     must agree with what reaches the record: every query charges its
+     conflicts and propagations to the sweep's budget, and without a
+     conflict limit every UNSAT answer is one merge the windows did not
+     make. A member dropped or added twice at the join breaks both. *)
+  let arms =
+    [
+      ("stp", stp_config, false);
+      ("certified stp", { stp_config with certify = true }, false);
+      ("cached stp", stp_config, true);
+      ("fraig [1; 2]", { fraig_config with conflict_limits = [ 1; 2 ] }, false);
+    ]
   in
-  check "function preserved" true (exhaustive_equal net swept);
-  (match Sweep.Cec.check net swept with
-  | Sweep.Cec.Equivalent -> ()
-  | _ -> Alcotest.fail "cube-split sweep not CEC-equivalent");
-  check "hard candidates were cube-split" true (st.Sweep.Stats.cube_splits > 0);
-  check "each split enumerated its cubes" true
-    (st.Sweep.Stats.cube_queries >= 2 * st.Sweep.Stats.cube_splits);
-  check_report_roundtrip "cube" st
+  List.iter
+    (fun name ->
+      let net = Gen.Suites.hwmcc_by_name name in
+      List.iter
+        (fun sat_domains ->
+          List.iter
+            (fun (arm, config, cached) ->
+              with_cache_dir @@ fun dir ->
+              let label =
+                Printf.sprintf "%s, %s, %d domains" name arm sat_domains
+              in
+              let budget = Obs.Budget.create ~conflicts:1_000_000_000 () in
+              let cache =
+                if cached then Some (Svc.Cache.ops (Svc.Cache.open_ dir))
+                else None
+              in
+              let _, st =
+                Sweep.Engine.run
+                  ~config:
+                    {
+                      config with
+                      Sweep.Engine.sat_domains;
+                      budget = Some budget;
+                      cache;
+                    }
+                  net
+              in
+              let conflicts, propagations = Obs.Budget.consumed budget in
+              check_int (label ^ ": conflicts charged") conflicts
+                st.Sweep.Stats.sat_conflicts;
+              check_int (label ^ ": propagations charged") propagations
+                st.Sweep.Stats.sat_propagations;
+              if config.Sweep.Engine.conflict_limits <> [] then
+                check (label ^ ": cube-split") true
+                  (st.Sweep.Stats.cube_splits > 0)
+              else if not cached then
+                check_int (label ^ ": one UNSAT per solver merge")
+                  (st.Sweep.Stats.merges - st.Sweep.Stats.window_merges)
+                  st.Sweep.Stats.sat_unsat)
+            arms)
+        [ 1; 2; 4 ])
+    [ "b18"; "6s20" ]
 
 let test_dispatch_budget_degrades () =
   (* Budget exhaustion with workers in flight: any domain may trip the
@@ -810,11 +884,12 @@ let test_retry_schedule () =
   let rng = Rng.create 1618L in
   let base = random_network rng ~pis:8 ~gates:120 ~pos:6 in
   let net = Gen.Redundant.inject ~seed:9L ~fraction:0.5 base in
-  let starved = { stp_config with conflict_limit = Some 1 } in
-  let _, st0 = Sweep.Stp_sweep.sweep ~config:starved net in
+  let _, st0 =
+    Sweep.Stp_sweep.sweep ~config:{ stp_config with conflict_limits = [ 1 ] } net
+  in
   let swept, st =
     Sweep.Stp_sweep.sweep
-      ~config:{ starved with retry_schedule = [ 100; 100_000 ] }
+      ~config:{ stp_config with conflict_limits = [ 1; 100; 100_000 ] }
       net
   in
   check "function preserved" true (exhaustive_equal net swept);
@@ -1100,7 +1175,7 @@ let test_cache_conflict_limit_zero () =
      throwaway solver — not treat 0 as "unlimited" and prove pairs the
      uncached sweep leaves undetermined. *)
   let net = Gen.Suites.hwmcc_by_name "b18" in
-  let config = { stp_config with conflict_limit = Some 0 } in
+  let config = { stp_config with conflict_limits = [ 0 ] } in
   let plain, _ = Sweep.Stp_sweep.sweep ~config net in
   with_cache_dir @@ fun dir ->
   let c = Svc.Cache.open_ dir in
@@ -1607,6 +1682,8 @@ let () =
                arb_dispatch_case prop_dispatch_equivalent);
           Alcotest.test_case "cube and conquer" `Slow
             test_dispatch_cube_and_conquer;
+          Alcotest.test_case "pool counters reach Stats" `Slow
+            test_dispatch_pool_counters;
           Alcotest.test_case "budget degrades" `Quick
             test_dispatch_budget_degrades;
           Alcotest.test_case "hwmcc bytes agree across domain counts" `Quick
