@@ -26,7 +26,7 @@ let default_script ~engine ~no_rewrite ~no_balance ~verify =
 let run circuit file script engine domains sat_domains timeout verify certify
     output no_rewrite no_balance json trace () =
   Report.cli_guard @@ fun () ->
-  if trace then Obs.Trace.enable ();
+  if trace then Obs.Span.enable_trace ();
   let name, net = Report.load_network ?circuit ?file () in
   let script, passes =
     match script with

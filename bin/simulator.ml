@@ -23,14 +23,15 @@ let run circuit file engine num_patterns k mode seed () =
     (Format.asprintf "%a" Aig.Network.pp_stats aig);
   let label, (t_compile, plan) =
     match mode with
-    | `Aig -> ("aig", Report.time (fun () -> Sim.Kernel.compile_aig aig))
+    | `Aig ->
+      ("aig", Obs.Clock.span (fun () -> Sim.Kernel.compile_aig aig))
     | `Lut ->
       let lut = Klut.Mapper.map ~k aig in
       Printf.printf "mapped: %s\n" (Format.asprintf "%a" Klut.Network.pp_stats lut);
       ( Printf.sprintf "%d-lut" k,
-        Report.time (fun () -> Sim.Kernel.compile_klut ~style:engine lut) )
+        Obs.Clock.span (fun () -> Sim.Kernel.compile_klut ~style:engine lut) )
   in
-  let t_exec, tbl = Report.time (fun () -> Sim.Kernel.execute plan pats) in
+  let t_exec, tbl = Obs.Clock.span (fun () -> Sim.Kernel.execute plan pats) in
   Printf.printf "%s sim: %d patterns, compile %.2fms, execute %.2fms, digest %08x\n"
     label num_patterns (1000. *. t_compile) (1000. *. t_exec)
     (digest tbl land 0xFFFFFFFF)

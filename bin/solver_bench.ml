@@ -165,7 +165,7 @@ let run_sweep () =
   {
     (empty_row "sweep-mult16" 1) with
     runs = 1;
-    wall_s = stats.Sweep.Stats.sat_time;
+    wall_s = List.assoc "sat" (Sweep.Stats.phase_times stats);
     decisions = stats.Sweep.Stats.sat_decisions;
     conflicts = stats.Sweep.Stats.sat_conflicts;
     propagations = stats.Sweep.Stats.sat_propagations;

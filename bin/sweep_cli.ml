@@ -77,7 +77,7 @@ let run_remote sock remote_retries name net script timeout verify certify
 let run circuit file engine timeout sat_domains self_verify verify certify
     output json trace connect remote_retries () =
   Report.cli_guard @@ fun () ->
-  if trace then Obs.Trace.enable ();
+  if trace then Obs.Span.enable_trace ();
   let name, net = Report.load_network ?circuit ?file () in
   let script =
     let b = Buffer.create 32 in

@@ -32,7 +32,7 @@ let run socket domains queue_depth idle_timeout io_timeout retry_after
     wall_pool conflict_pool prop_pool cache_dir cache_max_bytes
     cache_max_entries paranoid request_timeout global_timeout trace () =
   Report.cli_guard @@ fun () ->
-  if trace then Obs.Trace.enable ();
+  if trace then Obs.Span.enable_trace ();
   (* Stale-socket recovery: probe before binding. A live daemon on the
      same path is a configuration error — stealing its socket would
      orphan its clients — so that start refuses. A dead one's leftover

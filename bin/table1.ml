@@ -49,12 +49,14 @@ let run ~num_patterns ~domains ~names ~json () =
         Sim.Patterns.random ~seed:0xEB5L ~num_pis:(Aig.Network.num_pis aig)
           ~num_patterns
       in
-      let c_aig, aig_plan = Report.time (fun () -> Sim.Kernel.compile_aig aig) in
+      let c_aig, aig_plan =
+        Obs.Clock.span (fun () -> Sim.Kernel.compile_aig aig)
+      in
       let c_blast, blast_plan =
-        Report.time (fun () -> Sim.Kernel.compile_klut ~style:`Bitblast lut)
+        Obs.Clock.span (fun () -> Sim.Kernel.compile_klut ~style:`Bitblast lut)
       in
       let c_stp, stp_plan =
-        Report.time (fun () -> Sim.Kernel.compile_klut ~style:`Stp lut)
+        Obs.Clock.span (fun () -> Sim.Kernel.compile_klut ~style:`Stp lut)
       in
       let exec plan = Sim.Kernel.execute ~domains plan pats in
       (* Untimed first runs. The styles must agree bit-exactly, and the

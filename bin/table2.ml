@@ -9,7 +9,7 @@ open Stp_sweep
 
 let run ~names ~timeout ~verify ~certify ~json ~trace () =
   Report.cli_guard @@ fun () ->
-  if trace then Obs.Trace.enable ();
+  if trace then Obs.Span.enable_trace ();
   let suite =
     match names with
     | [] -> Gen.Suites.hwmcc ()
@@ -59,7 +59,7 @@ let run ~names ~timeout ~verify ~certify ~json ~trace () =
         (float_of_int (total_sat_calls st_f))
         (float_of_int (total_sat_calls st_s));
       push g_sim !g_sim (simulation_time st_f) (simulation_time st_s);
-      push g_time !g_time st_f.total_time st_s.total_time;
+      push g_time !g_time (total_time st_f) (total_time st_s);
       push g_result !g_result
         (float_of_int (Aig.Network.num_ands swept_f))
         (float_of_int (Aig.Network.num_ands swept_s));
@@ -82,7 +82,7 @@ let run ~names ~timeout ~verify ~certify ~json ~trace () =
             ("stp", engine_json swept_s st_s);
             ( "runtime_ratio_stp_over_fraig",
               Obs.Json.Float
-                (st_s.total_time /. Float.max 1e-9 st_f.total_time) );
+                (total_time st_s /. Float.max 1e-9 (total_time st_f)) );
           ]
         :: !json_rows;
       rows :=
@@ -99,10 +99,10 @@ let run ~names ~timeout ~verify ~certify ~json ~trace () =
           Printf.sprintf "%s|%s"
             (Report.fmt_time (simulation_time st_f))
             (Report.fmt_time (simulation_time st_s));
-          Printf.sprintf "%s|%s" (Report.fmt_time st_f.total_time)
-            (Report.fmt_time st_s.total_time);
+          Printf.sprintf "%s|%s" (Report.fmt_time (total_time st_f))
+            (Report.fmt_time (total_time st_s));
           Report.fmt_ratio
-            (st_s.total_time /. Float.max 1e-9 st_f.total_time);
+            (total_time st_s /. Float.max 1e-9 (total_time st_f));
         ]
         :: !rows)
     suite;

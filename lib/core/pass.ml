@@ -333,63 +333,50 @@ let record_json r =
     ]
 
 let run_pipeline ctx passes net0 =
-  let records = ref [] in
   let net = ref net0 in
-  List.iter
-    (fun (p : t) ->
-      let ands_before = A.num_ands !net and depth_before = A.depth !net in
-      (* PR 3 degradation, pipeline-wide: once the shared budget is
-         exhausted, remaining transform passes are skipped and reported;
-         verify and ps still run — a degraded result must still be
-         checkable. *)
-      let skipped =
-        if p.transform then
-          match Obs.Budget.check_now ctx.budget with
-          | Some reason -> Some (Obs.Budget.reason_to_string reason)
-          | None -> None
-        else None
-      in
+  let run_one (p : t) =
+    let ands_before = A.num_ands !net and depth_before = A.depth !net in
+    (* Pipeline-wide degradation: once the shared budget is exhausted,
+       remaining transform passes are skipped and reported; verify and
+       ps still run — a degraded result must still be checkable. *)
+    let skipped =
+      if p.transform then
+        Option.map Obs.Budget.reason_to_string
+          (Obs.Budget.check_now ctx.budget)
+      else None
+    in
+    let spans = Obs.Span.create [] in
+    let detail =
       match skipped with
       | Some reason ->
         ctx.echo
           (Printf.sprintf "%-14s skipped (budget exhausted: %s)\n" p.name
              reason);
-        records :=
-          {
-            r_name = p.name;
-            r_args = p.args;
-            r_skipped = skipped;
-            r_ands_before = ands_before;
-            r_depth_before = depth_before;
-            r_ands_after = ands_before;
-            r_depth_after = depth_before;
-            r_wall_s = 0.;
-            r_detail = Obs.Json.Null;
-          }
-          :: !records
+        Obs.Json.Null
       | None ->
-        let t0 = Obs.Clock.now () in
-        let out, detail = p.run ctx !net in
-        let dt = Obs.Clock.now () -. t0 in
+        let out, detail =
+          Obs.Span.with_ spans p.name (fun () -> p.run ctx !net)
+        in
         net := out;
         ctx.echo
           (Printf.sprintf "%-14s %s\n" p.name
              (Format.asprintf "%a" A.pp_stats out));
-        records :=
-          {
-            r_name = p.name;
-            r_args = p.args;
-            r_skipped = None;
-            r_ands_before = ands_before;
-            r_depth_before = depth_before;
-            r_ands_after = A.num_ands out;
-            r_depth_after = A.depth out;
-            r_wall_s = dt;
-            r_detail = detail;
-          }
-          :: !records)
-    passes;
-  (!net, List.rev !records)
+        detail
+    in
+    {
+      r_name = p.name;
+      r_args = p.args;
+      r_skipped = skipped;
+      r_ands_before = ands_before;
+      r_depth_before = depth_before;
+      r_ands_after = A.num_ands !net;
+      r_depth_after = A.depth !net;
+      r_wall_s = Obs.Span.total spans;
+      r_detail = detail;
+    }
+  in
+  let records = List.map run_one passes in
+  (!net, records)
 
 let skipped_count records =
   List.length (List.filter (fun r -> r.r_skipped <> None) records)

@@ -129,7 +129,8 @@ val record_json : record -> Obs.Json.t
 
 val run_pipeline : ctx -> t list -> Aig.Network.t -> Aig.Network.t * record list
 (** Threads one network through the passes, checking the shared budget
-    between passes, timing each pass and echoing a per-pass stage line.
+    between passes, timing each pass as an {!Obs.Span} (its [wall_s])
+    and echoing a per-pass stage line.
     Returns the final network and one record per pass (skipped passes
     included). *)
 

@@ -1,7 +1,5 @@
 (* Wall clock, not [Sys.time]: CPU time sums over domains, so it would
    report a parallel engine as ~N x slower under perfect scaling. *)
-let time f = Obs.Clock.span f
-
 let time_repeat ?(min_time = 0.2) f =
   let t0 = Obs.Clock.now () in
   let rec go runs =

@@ -1,10 +1,6 @@
 (** Small helpers shared by the table harnesses and benches: wall-clock
     timing, geometric means, and fixed-width table rendering. *)
 
-val time : (unit -> 'a) -> float * 'a
-(** Wall-clock seconds spent in the thunk ({!Obs.Clock}; [Sys.time]
-    would sum CPU time over domains and invert parallel speedups). *)
-
 val time_repeat : ?min_time:float -> (unit -> unit) -> float
 (** Runs the thunk enough times to accumulate [min_time] wall-clock
     seconds (default 0.2) and returns the per-run mean — stabilizes

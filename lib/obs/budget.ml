@@ -104,5 +104,3 @@ let reason_to_string = function
   | Deadline -> "deadline"
   | Conflicts -> "conflicts"
   | Propagations -> "propagations"
-
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)

@@ -88,5 +88,3 @@ val exhausted : t -> reason option
 val reason_to_string : reason -> string
 (** ["deadline" | "conflicts" | "propagations"] — the spelling used in
     JSON run reports. *)
-
-val pp_reason : Format.formatter -> reason -> unit

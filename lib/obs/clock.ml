@@ -13,9 +13,3 @@ let span f =
   let t0 = now () in
   let r = f () in
   (now () -. t0, r)
-
-let accumulate cell f =
-  let t0 = now () in
-  let r = f () in
-  cell := !cell +. (now () -. t0);
-  r

@@ -1,8 +1,8 @@
 (** Monotonic wall-clock timing.
 
-    Every timer in the repo goes through this module. The distinction it
-    exists to enforce: [Sys.time] is process CPU time summed over all
-    running domains, so a perfectly-scaling 4-domain run reports ~4x the
+    Every timer in the repo reads this clock; reports time through
+    {!Span}. Not [Sys.time]: process CPU time sums over all running
+    domains, so a perfectly-scaling 4-domain run reports ~4x the
     sequential number — wall clock is the only meaningful metric for
     parallel engines (and the one the paper's tables report).
 
@@ -16,7 +16,3 @@ val now : unit -> float
 
 val span : (unit -> 'a) -> float * 'a
 (** Wall seconds spent in the thunk, and its result. *)
-
-val accumulate : float ref -> (unit -> 'a) -> 'a
-(** Runs the thunk and adds its wall-clock span to the cell — the
-    building block for phase accounting. *)

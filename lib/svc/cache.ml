@@ -154,8 +154,7 @@ let evict_node t n =
      Sys.remove tmp
    with Unix.Unix_error _ | Sys_error _ -> ());
   t.evictions <- t.evictions + 1;
-  t.evicted_bytes <- t.evicted_bytes + n.n_size;
-  Obs.Trace.emitf "cache: evicted %s (%d bytes)" n.n_key n.n_size
+  t.evicted_bytes <- t.evicted_bytes + n.n_size
 
 (* Evict LRU-first until both budgets hold. A single oversized entry is
    evicted immediately after its own store — the byte budget is a hard
@@ -251,7 +250,7 @@ let quarantine t path =
         | Some n -> index_forget t n
         | None -> ())
       | None -> ());
-  Obs.Trace.emitf "cache: quarantined %s" path
+  Obs.Span.trace "cache: quarantined %s" path
 
 (* A hit refreshes the entry's recency on disk too, so LRU order
    survives daemon restarts. [utimes 0 0] = "now". *)

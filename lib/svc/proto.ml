@@ -235,15 +235,11 @@ let parse_payload s =
   | exception J.Parse_error (at, msg) ->
     fail "frame payload: JSON parse error at offset %d: %s" at msg
 
-let read_request ic =
-  Option.map (fun s -> request_of_json (parse_payload s)) (read_frame ic)
-
 let write_request oc r = write_frame oc (J.to_string (request_to_json r))
 
 let read_response ic =
   Option.map (fun s -> response_of_json (parse_payload s)) (read_frame ic)
 
-let write_response oc r = write_frame oc (J.to_string (response_to_json r))
 let request_of_string s = request_of_json (parse_payload s)
 let client_msg_of_string s = client_msg_of_json (parse_payload s)
 let write_client_msg oc m = write_frame oc (J.to_string (client_msg_to_json m))

@@ -83,12 +83,10 @@ val request_of_json : Obs.Json.t -> request
 val response_to_json : response -> Obs.Json.t
 val response_of_json : Obs.Json.t -> response
 
-val read_request : in_channel -> request option
-(** Frame + JSON + field decoding in one step; [None] on clean EOF. *)
-
 val write_request : out_channel -> request -> unit
+
 val read_response : in_channel -> response option
-val write_response : out_channel -> response -> unit
+(** Frame + JSON + field decoding in one step; [None] on clean EOF. *)
 
 val client_msg_to_json : client_msg -> Obs.Json.t
 val client_msg_of_json : Obs.Json.t -> client_msg

@@ -70,12 +70,17 @@ let request_timeout cfg global_deadline (req : Proto.request) =
        skipped, rather than the request failing outright. *)
     Some (Float.max 0.01 (List.fold_left Float.min Float.infinity l))
 
+(* [wall_s] is the pipeline span; [spans_s] adds decoding and encoding. *)
 let process st (req : Proto.request) =
   let cfg = st.cfg in
   let id = req.req_id in
+  let spans = Obs.Span.create [ "decode"; "pipeline"; "encode" ] in
+  let span name f = Obs.Span.with_ spans name f in
   match
-    let net = Aig.Aiger.read req.aiger in
-    let passes = Script.compile req.script in
+    let net, passes =
+      span "decode" (fun () ->
+          (Aig.Aiger.read req.aiger, Script.compile req.script))
+    in
     let wall_cap = request_timeout cfg st.global_deadline req in
     (* With a pool armed, the request runs under a lease: its budget is
        min(request cap, fair share of what the daemon has left), the
@@ -100,8 +105,11 @@ let process st (req : Proto.request) =
             ?cache:(Option.map Cache.ops cfg.cache)
             ~cache_paranoid:cfg.paranoid ~echo:ignore net
         in
-        let t0 = Obs.Clock.now () in
-        let result, records = Pass.run_pipeline ctx passes net in
+        let result, records =
+          span "pipeline" (fun () -> Pass.run_pipeline ctx passes net)
+        in
+        let aiger = span "encode" (fun () -> Aig.Aiger.write result) in
+        let times = Obs.Span.totals spans in
         let report =
           J.Obj
             ([
@@ -109,13 +117,15 @@ let process st (req : Proto.request) =
                ("script", J.String req.script);
                ("input_ands", J.Int (A.num_ands net));
                ("result_ands", J.Int (A.num_ands result));
-               ("wall_s", J.Float (Obs.Clock.now () -. t0));
+               ("wall_s", J.Float (List.assoc "pipeline" times));
+               ( "spans_s",
+                 J.Obj (List.map (fun (k, s) -> (k, J.Float s)) times) );
              ]
             @ Pass.summary_json ctx records
             @ (match cfg.cache with
               | None -> []
               | Some c -> [ ("cache", Cache.counters_json c) ])
-            @ [ ("result_aiger", J.String (Aig.Aiger.write result)) ])
+            @ [ ("result_aiger", J.String aiger) ])
         in
         (report, A.num_ands net, A.num_ands result))
   with

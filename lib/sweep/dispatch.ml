@@ -322,7 +322,7 @@ let query_cached t dc ops ~conflict_limits nd r compl =
         match Cone_cert.replay pc proof with
         | Ok () -> (T.Equivalent, true)
         | Error why ->
-          Obs.Trace.emitf
+          Obs.Span.trace
             "cache certificate failed replay (%s) — entry rejected" why;
           reject ())
     | Ok (Cone_cert.E_diff small)
@@ -361,10 +361,11 @@ let tally t dc nd ~served answer =
     s.sat_sat <- s.sat_sat + 1;
     if t.certify then s.certified_models <- s.certified_models + 1
   | T.Undetermined -> s.sat_undet <- s.sat_undet + 1
-  | T.Uncertified _ ->
+  | T.Uncertified why ->
     s.certificate_rejected <- s.certificate_rejected + 1;
-    Obs.Trace.emitf
-      "certificate rejected — node %d keeps its structural translation" nd
+    Obs.Span.trace
+      "certificate rejected (%s) — node %d keeps its structural translation"
+      why nd
 
 (* Walk one task's candidate list on one domain: window checks were
    resolved at collect time, map writes wait for the merge phase. A
@@ -467,8 +468,6 @@ let cube_phase t tasks results hard =
     if n > 0 then begin
       t.stats.cube_splits <- t.stats.cube_splits + List.length splits;
       t.stats.cube_queries <- t.stats.cube_queries + n;
-      Obs.Trace.emitf "cube-and-conquer: %d hard pairs, %d cube queries"
-        (List.length splits) n;
       let conflict_limit =
         match List.rev t.conflict_limits with l :: _ -> Some l | [] -> None
       in

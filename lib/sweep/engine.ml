@@ -125,12 +125,9 @@ type state = {
    noticed, then stay degraded — [Obs.Budget] is sticky, so every later
    [budget_ok] call is a cheap [false]. *)
 let note_exhausted st reason phase =
-  if st.stats.Stats.budget_exhausted = None then begin
-    let reason = Obs.Budget.reason_to_string reason in
-    st.stats.Stats.budget_exhausted <- Some { Stats.reason; phase };
-    Obs.Trace.emitf "budget exhausted (%s) during %s — degrading to \
-                     structural translation" reason phase
-  end
+  if st.stats.Stats.budget_exhausted = None then
+    st.stats.Stats.budget_exhausted <-
+      Some { Stats.reason = Obs.Budget.reason_to_string reason; phase }
 
 let budget_ok st phase =
   match Obs.Budget.check st.budget with
@@ -139,22 +136,9 @@ let budget_ok st phase =
     note_exhausted st reason phase;
     false
 
-(* Phase accounting. Wall clock ([Obs.Clock]), never [Sys.time]: CPU
-   time sums across domains, so it would bill a parallel resimulation at
-   ~N x its real duration. Each instrumented stretch goes to exactly one
-   phase, so the phases sum to <= total_time. *)
-let timed st phase f =
-  let t0 = Obs.Clock.now () in
-  let r = f () in
-  let dt = Obs.Clock.now () -. t0 in
-  (match phase with
-  | `Sim -> st.stats.Stats.sim_time <- st.stats.Stats.sim_time +. dt
-  | `Plan_compile ->
-    st.stats.Stats.plan_compile_time <- st.stats.Stats.plan_compile_time +. dt
-  | `Resim -> st.stats.Stats.resim_time <- st.stats.Stats.resim_time +. dt
-  | `Window -> st.stats.Stats.window_time <- st.stats.Stats.window_time +. dt
-  | `Sat -> st.stats.Stats.sat_time <- st.stats.Stats.sat_time +. dt);
-  r
+(* Phase accounting ({!Stats}): clock reads stay per node (registration,
+   window checks) or per wave, never per pattern word. *)
+let span st phase f = Obs.Span.with_ st.stats.Stats.spans phase f
 
 let ensure_sig_capacity st n =
   if n >= Array.length st.sigs then begin
@@ -272,13 +256,13 @@ let sim_domains st =
    only that instruction suffix over the pattern prefix the current
    signatures cover ([sim_np] — it lags the pattern set while
    counter-examples await a batch resim). The execution is the engine's
-   "initial simulation" work (sim_time); the compile part is accounted
-   separately so plan cost stays visible. *)
+   "initial simulation" work ([sim]); the compile part is accounted
+   separately ([plan_compile]) so plan cost stays visible. *)
 let register_new_nodes st =
   let n = A.num_nodes st.fresh in
   if n > st.sig_count then begin
-    timed st `Plan_compile (fun () -> Sim.Kernel.extend_aig st.plan st.fresh);
-    timed st `Sim (fun () ->
+    span st "plan_compile" (fun () -> Sim.Kernel.extend_aig st.plan st.fresh);
+    span st "sim" (fun () ->
         ensure_sig_capacity st (n - 1);
         let nw = max 1 ((st.sim_np + 31) / 32) in
         for nd = st.sig_count to n - 1 do
@@ -307,14 +291,11 @@ let register_new_nodes st =
    candidate classes. *)
 let resimulate st =
   st.stats.Stats.resimulations <- st.stats.Stats.resimulations + 1;
-  Obs.Trace.emitf "resim #%d: %d nodes, %d patterns"
-    st.stats.Stats.resimulations (A.num_nodes st.fresh)
-    (P.num_patterns st.pats);
   (* Any nodes added since the last registration first get rows over the
      covered prefix (no-op in the steady state). *)
   register_new_nodes st;
   let n = A.num_nodes st.fresh in
-  timed st `Resim (fun () ->
+  span st "resim" (fun () ->
       let np = P.num_patterns st.pats in
       let nw = max 1 ((np + 31) / 32) in
       let from_w = if st.sim_np = 0 then 0 else st.sim_np lsr 5 in
@@ -332,10 +313,11 @@ let resimulate st =
         Sg.num_patterns_mask np st.sigs.(nd)
       done);
   st.sim_np <- P.num_patterns st.pats;
-  Equiv_classes.clear st.classes ~num_patterns:st.sim_np;
-  for nd = 0 to n - 1 do
-    Equiv_classes.add st.classes nd st.sigs.(nd)
-  done;
+  span st "reclass" (fun () ->
+      Equiv_classes.clear st.classes ~num_patterns:st.sim_np;
+      for nd = 0 to n - 1 do
+        Equiv_classes.add st.classes nd st.sigs.(nd)
+      done);
   st.pending_ce <- 0
 
 let note_counterexample st ce =
@@ -362,9 +344,11 @@ let cut_verdict st nd r =
   | (`Equal | `Compl) as v -> (
     match Cut_window.prove st.cut st.fresh nd r ~compl:(v = `Compl) with
     | Ok () -> v
-    | Error _ ->
+    | Error why ->
       st.stats.Stats.certificate_rejected <-
         st.stats.Stats.certificate_rejected + 1;
+      Obs.Span.trace "cut-window proof rejected (%s) — node %d goes on" why
+        nd;
       `Unknown)
 
 (* Second tier: exhaustive-window comparison from the cached PI-support
@@ -400,7 +384,7 @@ let window_verdict st nd r =
        solver, which must reach the same verdict. *)
     `Unknown
   else
-    timed st `Window (fun () ->
+    span st "window" (fun () ->
         match cut_verdict st nd r with
         | `Equal -> `Merge (false, true)
         | `Compl -> `Merge (true, true)
@@ -532,11 +516,14 @@ let apply_result st seen (res : Dispatch.result) map (old_nd, l, cut) =
 let sweep_ands st old_net map tr =
   let cfg = st.cfg in
   let disp =
-    Dispatch.create ~domains:cfg.sat_domains ~certify:cfg.certify
-      ~conflict_limits:cfg.conflict_limits ~cache:cfg.cache
-      ~cache_paranoid:cfg.cache_paranoid st.fresh st.budget st.stats
+    span st "setup" (fun () ->
+        Dispatch.create ~domains:cfg.sat_domains ~certify:cfg.certify
+          ~conflict_limits:cfg.conflict_limits ~cache:cfg.cache
+          ~cache_paranoid:cfg.cache_paranoid st.fresh st.budget st.stats)
   in
-  Fun.protect ~finally:(fun () -> Dispatch.shutdown disp) @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      span st "cleanup" (fun () -> Dispatch.shutdown disp))
+  @@ fun () ->
   let ands = ref [] in
   A.iter_ands old_net (fun nd -> ands := nd :: !ands);
   let ands = Array.of_list (List.rev !ands) in
@@ -552,135 +539,137 @@ let sweep_ands st old_net map tr =
   let i = ref 0 in
   while !i < n do
     (* Collect, up to the first node with a fanin awaiting a verdict. *)
-    let tasks = ref [] and infos = ref [] in
-    while !i < n && not (fanin_awaits ands.(!i)) do
-      let old_nd = ands.(!i) in
-      incr i;
-      if Obs.Trace.enabled () && !i mod trace_every = 0 then
-        Obs.Trace.emitf "progress: %d/%d ANDs, %d merges, %d SAT calls" !i n
-          st.stats.Stats.merges
-          (Stats.total_sat_calls st.stats);
-      let before = A.num_nodes st.fresh in
-      let l =
-        A.add_and st.fresh
-          (tr (A.fanin0 old_net old_nd))
-          (tr (A.fanin1 old_net old_nd))
-      in
-      map.(old_nd) <- l;
-      (* A structural hash hit or constant fold is already merged. Once
-         the budget is gone the rest of the pass is a plain structural
-         translation — no simulation, no SAT — and every merge recorded
-         so far was proven, so the partial sweep stays equivalent. *)
-      if A.num_nodes st.fresh <> before && budget_ok st "sweep" then begin
-        register_new_nodes st;
-        match collect st (L.node l) with
-        | C_none -> ()
-        | C_merge (merged, cut) ->
-          commit st map old_nd l merged ~window:true ~cut
-        | C_task (cands, cut) ->
-          tasks := { Dispatch.t_node = L.node l; t_cands = cands } :: !tasks;
-          infos := (old_nd, l, cut) :: !infos;
-          awaiting.(old_nd) <- true
-      end
-    done;
-    if !tasks <> [] then begin
-      let tasks = Array.of_list (List.rev !tasks) in
-      let infos = Array.of_list (List.rev !infos) in
+    let tasks, infos =
+      span st "collect" (fun () ->
+          let tasks = ref [] and infos = ref [] in
+          while !i < n && not (fanin_awaits ands.(!i)) do
+            let old_nd = ands.(!i) in
+            incr i;
+            if !i mod trace_every = 0 then
+              Obs.Span.progress st.stats.Stats.spans
+                "progress: %d/%d ANDs, %d merges, %d SAT calls" !i n
+                st.stats.Stats.merges
+                (Stats.total_sat_calls st.stats);
+            let before = A.num_nodes st.fresh in
+            let l =
+              A.add_and st.fresh
+                (tr (A.fanin0 old_net old_nd))
+                (tr (A.fanin1 old_net old_nd))
+            in
+            map.(old_nd) <- l;
+            (* A structural hash hit or constant fold is already merged.
+               Once the budget is gone the rest of the pass is a plain
+               structural translation — no simulation, no SAT — and
+               every merge recorded so far was proven, so the partial
+               sweep stays equivalent. *)
+            if A.num_nodes st.fresh <> before && budget_ok st "sweep" then begin
+              register_new_nodes st;
+              match collect st (L.node l) with
+              | C_none -> ()
+              | C_merge (merged, cut) ->
+                commit st map old_nd l merged ~window:true ~cut
+              | C_task (cands, cut) ->
+                tasks :=
+                  { Dispatch.t_node = L.node l; t_cands = cands } :: !tasks;
+                infos := (old_nd, l, cut) :: !infos;
+                awaiting.(old_nd) <- true
+            end
+          done;
+          (Array.of_list (List.rev !tasks), Array.of_list (List.rev !infos)))
+    in
+    if Array.length tasks > 0 then begin
       (* Solve: the network is frozen until the wave returns. *)
-      let results =
-        timed st `Sat (fun () -> Dispatch.run_wave disp tasks)
-      in
+      let results = span st "sat" (fun () -> Dispatch.run_wave disp tasks) in
       (* Merge: single writer, task order. *)
-      Array.iteri
-        (fun j res ->
-          let ((old_nd, _, _) as info) = infos.(j) in
-          awaiting.(old_nd) <- false;
-          apply_result st seen_ces res map info)
-        results
+      span st "apply" (fun () ->
+          Array.iteri
+            (fun j res ->
+              let ((old_nd, _, _) as info) = infos.(j) in
+              awaiting.(old_nd) <- false;
+              apply_result st seen_ces res map info)
+            results)
     end
   done
 
 let run ?(config = stp_config) old_net =
-  let t_start = Obs.Clock.now () in
   let stats = Stats.create () in
-  let rng = Rng.create config.seed in
-  let num_pis = A.num_pis old_net in
-  Obs.Trace.emitf "sweep start: %d PIs, %d ANDs, %d POs" num_pis
-    (A.num_ands old_net) (A.num_pos old_net);
-  (* Initial patterns: random words, optionally refined by SAT-guided
-     generation on the old network. *)
-  let pats =
-    P.random ~seed:(Rng.int64 rng) ~num_pis
-      ~num_patterns:(32 * max 1 config.initial_words)
-  in
-  let budget =
-    match config.budget with Some b -> b | None -> Obs.Budget.unlimited ()
-  in
-  if config.guided_init then begin
-    let t0 = Obs.Clock.now () in
-    let outcome =
-      Guided_patterns.generate ~max_queries:config.guided_queries
-        ?deadline:(Obs.Budget.deadline budget) old_net pats
-        ~seed:(Rng.int64 rng)
+  let span phase f = Obs.Span.with_ stats.Stats.spans phase f in
+  let result =
+    span Stats.root @@ fun () ->
+    let rng = Rng.create config.seed in
+    let num_pis = A.num_pis old_net in
+    (* Initial patterns: random words, optionally refined by SAT-guided
+       generation on the old network. *)
+    let pats =
+      P.random ~seed:(Rng.int64 rng) ~num_pis
+        ~num_patterns:(32 * max 1 config.initial_words)
     in
-    stats.Stats.guided_time <-
-      stats.Stats.guided_time +. (Obs.Clock.now () -. t0);
-    (* Guided queries that came back UNSAT proved input nodes constant.
-       The engine does not need them seeded: a truly constant node's
-       signature collides with node 0 on every pattern set, so the
-       class walk proves the merge anyway — but the work was real, so
-       record it instead of discarding the list silently. *)
-    stats.Stats.guided_consts <-
-      List.length outcome.Guided_patterns.proven_const;
-    Obs.Trace.emitf "guided init: +%d patterns, %d queries, %d consts proven"
-      outcome.Guided_patterns.patterns_added outcome.Guided_patterns.queries
-      stats.Stats.guided_consts
-  end;
-  stats.Stats.initial_patterns <- P.num_patterns pats;
-  let fresh = A.create ~capacity:(A.num_nodes old_net) () in
-  let st =
-    {
-      cfg = config;
-      stats;
-      fresh;
-      rng;
-      pats;
-      plan = Sim.Kernel.compile_aig ~hint:(A.num_nodes old_net) fresh;
-      sigs = Array.make (max 16 (A.num_nodes old_net)) [||];
-      supports = Array.make (max 16 (A.num_nodes old_net)) None;
-      window_tts = Array.make (max 16 (A.num_nodes old_net)) None;
-      cut = Cut_window.create ();
-      sig_count = 0;
-      sim_np = P.num_patterns pats;
-      classes = Equiv_classes.create ~num_patterns:(P.num_patterns pats);
-      pending_ce = 0;
-      budget;
-    }
+    let budget =
+      match config.budget with Some b -> b | None -> Obs.Budget.unlimited ()
+    in
+    if config.guided_init then begin
+      let outcome =
+        span "guided" (fun () ->
+            Guided_patterns.generate ~max_queries:config.guided_queries
+              ?deadline:(Obs.Budget.deadline budget) old_net pats
+              ~seed:(Rng.int64 rng))
+      in
+      (* Guided queries that came back UNSAT proved input nodes
+         constant. The engine does not need them seeded: a truly
+         constant node's signature collides with node 0 on every
+         pattern set, so the class walk proves the merge anyway — but
+         the work was real, so record it instead of discarding the list
+         silently. *)
+      stats.Stats.guided_consts <-
+        List.length outcome.Guided_patterns.proven_const
+    end;
+    stats.Stats.initial_patterns <- P.num_patterns pats;
+    let fresh = A.create ~capacity:(A.num_nodes old_net) () in
+    let st =
+      span "setup" (fun () ->
+          {
+            cfg = config;
+            stats;
+            fresh;
+            rng;
+            pats;
+            plan = Sim.Kernel.compile_aig ~hint:(A.num_nodes old_net) fresh;
+            sigs = Array.make (max 16 (A.num_nodes old_net)) [||];
+            supports = Array.make (max 16 (A.num_nodes old_net)) None;
+            window_tts = Array.make (max 16 (A.num_nodes old_net)) None;
+            cut = Cut_window.create ();
+            sig_count = 0;
+            sim_np = P.num_patterns pats;
+            classes = Equiv_classes.create ~num_patterns:(P.num_patterns pats);
+            pending_ce = 0;
+            budget;
+          })
+    in
+    (* Guided init may already have eaten the whole budget. *)
+    if config.guided_init then (
+      match Obs.Budget.check_now st.budget with
+      | Some reason -> note_exhausted st reason "guided"
+      | None -> ());
+    (* PIs first so indices line up; register their signatures. *)
+    let map = Array.make (A.num_nodes old_net) (-1) in
+    map.(0) <- L.false_;
+    for i = 0 to num_pis - 1 do
+      map.(A.pi_node old_net i) <- A.add_pi fresh
+    done;
+    register_new_nodes st;
+    let tr l =
+      let m = map.(L.node l) in
+      assert (m >= 0);
+      L.xor_compl m (L.is_compl l)
+    in
+    sweep_ands st old_net map tr;
+    (* The fresh network still holds nodes that lost their fanout to a
+       merge; a cleanup pass drops them. *)
+    span "cleanup" (fun () ->
+        Array.iter (fun l -> ignore (A.add_po st.fresh (tr l))) (A.pos old_net);
+        fst (A.cleanup st.fresh))
   in
-  (* Guided init may already have eaten the whole budget. *)
-  if config.guided_init then (
-    match Obs.Budget.check_now st.budget with
-    | Some reason -> note_exhausted st reason "guided"
-    | None -> ());
-  (* PIs first so indices line up; register their signatures. *)
-  let map = Array.make (A.num_nodes old_net) (-1) in
-  map.(0) <- L.false_;
-  for i = 0 to num_pis - 1 do
-    map.(A.pi_node old_net i) <- A.add_pi fresh
-  done;
-  register_new_nodes st;
-  let tr l =
-    let m = map.(L.node l) in
-    assert (m >= 0);
-    L.xor_compl m (L.is_compl l)
-  in
-  sweep_ands st old_net map tr;
-  Array.iter (fun l -> ignore (A.add_po st.fresh (tr l))) (A.pos old_net);
-  (* The fresh network still holds nodes that lost their fanout to a
-     merge; a cleanup pass drops them. *)
-  let result, _ = A.cleanup st.fresh in
-  stats.Stats.total_time <- Obs.Clock.now () -. t_start;
-  Obs.Trace.emitf "sweep done: %d -> %d ANDs, %d merges, %.3fs"
-    (A.num_ands old_net) (A.num_ands result) stats.Stats.merges
-    stats.Stats.total_time;
+  Obs.Span.progress stats.Stats.spans
+    "sweep done: %d -> %d ANDs, %d merges, %.3fs" (A.num_ands old_net)
+    (A.num_ands result) stats.Stats.merges (Stats.total_time stats);
   (result, stats)

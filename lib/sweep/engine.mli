@@ -110,7 +110,9 @@ type config = {
           tasks on the calling domain and spawns nothing. While every
           query is answered (no conflict limit, no budget cut) the
           swept network is the same for every pool size, cached or
-          not. See DESIGN.md "Parallel dispatch". *)
+          not, and so are the counters it decides; those that follow
+          the solvers' models vary at two or more ({!Stats} lists
+          both). See DESIGN.md "Parallel dispatch". *)
   budget : Obs.Budget.t option;
       (** the budget the sweep runs under; [None] = unlimited. A
           standalone call builds one ([Some (Obs.Budget.create ~timeout

@@ -13,13 +13,6 @@ type t = {
   mutable ce_patterns : int;
   mutable initial_patterns : int;
   mutable resimulations : int;
-  mutable sim_time : float;
-  mutable plan_compile_time : float;
-  mutable guided_time : float;
-  mutable resim_time : float;
-  mutable window_time : float;
-  mutable sat_time : float;
-  mutable total_time : float;
   mutable sat_decisions : int;
   mutable sat_conflicts : int;
   mutable sat_propagations : int;
@@ -34,7 +27,10 @@ type t = {
   mutable cache_misses : int;
   mutable cache_rejected : int;
   mutable budget_exhausted : exhaustion option;
+  spans : Obs.Span.t;
 }
+
+let root = "sweep"
 
 let create () =
   {
@@ -50,13 +46,6 @@ let create () =
     ce_patterns = 0;
     initial_patterns = 0;
     resimulations = 0;
-    sim_time = 0.;
-    plan_compile_time = 0.;
-    guided_time = 0.;
-    resim_time = 0.;
-    window_time = 0.;
-    sat_time = 0.;
-    total_time = 0.;
     sat_decisions = 0;
     sat_conflicts = 0;
     sat_propagations = 0;
@@ -71,23 +60,23 @@ let create () =
     cache_misses = 0;
     cache_rejected = 0;
     budget_exhausted = None;
+    spans =
+      Obs.Span.create
+        [ "sim"; "plan_compile"; "guided"; "resim"; "window"; "sat";
+          "setup"; "collect"; "apply"; "reclass"; "cleanup" ];
   }
 
 let total_sat_calls t = t.sat_sat + t.sat_unsat + t.sat_undet
 
-let simulation_time t =
-  t.sim_time +. t.plan_compile_time +. t.guided_time +. t.resim_time
-  +. t.window_time
-
 let phase_times t =
-  [
-    ("sim", t.sim_time);
-    ("plan_compile", t.plan_compile_time);
-    ("guided", t.guided_time);
-    ("resim", t.resim_time);
-    ("window", t.window_time);
-    ("sat", t.sat_time);
-  ]
+  List.filter (fun (k, _) -> k <> root) (Obs.Span.totals t.spans)
+
+let total_time t = Obs.Span.total t.spans
+
+let simulation_time t =
+  let times = phase_times t in
+  List.fold_left (fun acc k -> acc +. List.assoc k times) 0.
+    [ "sim"; "plan_compile"; "guided"; "resim"; "window" ]
 
 let to_json t =
   let open Obs.Json in
@@ -122,7 +111,7 @@ let to_json t =
       ( "phases_s",
         Obj
           (List.map (fun (k, v) -> (k, Float v)) (phase_times t)
-          @ [ ("total", Float t.total_time) ]) );
+          @ [ ("total", Float (total_time t)) ]) );
       ( "sat_solver",
         Obj
           [

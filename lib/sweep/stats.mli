@@ -12,26 +12,23 @@
     calls" adds unsatisfiable and undetermined ones. Window refinements
     are the STP engine's SAT-free merge/split decisions.
 
-    All times are wall-clock seconds ({!Obs.Clock}) — CPU time would sum
-    over domains and misreport parallel runs. The phases partition the
-    engine's instrumented work:
+    Repeatability at [sat_domains] >= 2: while every query is answered
+    (no conflict limit, no budget cut) and no walk reaches
+    [max_compares], the counters the swept network decides ([merges],
+    [window_merges], [cut_merges], [const_merges], [sat_unsat]) repeat
+    exactly. Scheduling picks which member's solver answers a query,
+    and with it the model of a satisfiable one, so the counters that
+    follow the models ([sat_sat], [ce_patterns], [total_sat_calls],
+    [window_splits], [resimulations], [certified_models], the solver
+    internals) vary from run to run: three leon2 runs read [sat_sat]
+    357, 343, 341. At one domain every counter repeats.
 
-    - [sim_time] — incremental signature computation while rebuilding
-      (the engine's "initial simulation" work);
-    - [plan_compile_time] — compiling/extending the kernel simulation
-      plan for the growing fresh network;
-    - [guided_time] — SAT-guided initial pattern generation;
-    - [resim_time] — batch counter-example resimulations;
-    - [window_time] — both window tiers: cut-frontier evaluation (with
-      its DRUP replay in certified mode) and PI-support table
-      construction/comparison;
-    - [sat_time] — the solver pool's waves ({!Dispatch.run_wave}):
-      equivalence queries in the CDCL solver, with a cross-run cache
-      armed also its lookups, replays and stores, and under a conflict
-      limit the cube-and-conquer re-attack including its set-up
-      (choosing cone PIs, building the cubes);
-    - [total_time] — the whole sweep, including untimed glue, so the sum
-      of the phases is always <= [total_time]. *)
+    Time is not a field: the engine's work runs in spans on [spans]
+    ({!Obs.Span}), each phase is the self time its spans billed, and
+    the phases partition the sweep. The root span ({!root}) is the
+    whole {!Engine.run}; its duration is [total_time], its own self
+    time the remainder. DESIGN.md "Observability" gives each phase's
+    scope. *)
 
 type exhaustion = {
   reason : string;  (** [Obs.Budget.reason_to_string] spelling *)
@@ -57,16 +54,6 @@ type t = {
   mutable ce_patterns : int;  (** counter-example patterns appended *)
   mutable initial_patterns : int;
   mutable resimulations : int;
-  mutable sim_time : float;
-  mutable plan_compile_time : float;
-      (** compiling/extending the kernel simulation plan as the fresh
-          network grows ({!Sim.Kernel.extend_aig}) — kept apart from
-          [sim_time] so compile cost stays visible *)
-  mutable guided_time : float;
-  mutable resim_time : float;
-  mutable window_time : float;
-  mutable sat_time : float;
-  mutable total_time : float;
   mutable sat_decisions : int;  (** solver internals, whole sweep *)
   mutable sat_conflicts : int;
   mutable sat_propagations : int;
@@ -108,27 +95,32 @@ type t = {
   mutable budget_exhausted : exhaustion option;
       (** set once, at the moment the engine's budget first reports
           exhaustion; [None] on an unbudgeted or in-budget run *)
+  spans : Obs.Span.t;  (** the sweep's span recorder *)
 }
 
 val create : unit -> t
 val total_sat_calls : t -> int
 
-val simulation_time : t -> float
-(** The scope of the paper's Table II "Simulation" column: all non-SAT
-    instrumented work — [sim + plan_compile + guided + resim + window]. *)
+val root : string
 
 val phase_times : t -> (string * float) list
-(** The six instrumented phases, in a stable order (not including
-    [total_time]). *)
+(** Self seconds per phase, in report order. *)
+
+val total_time : t -> float
+
+val simulation_time : t -> float
+(** The scope of the paper's Table II "Simulation" column: all non-SAT
+    phases of the paper's engine — [sim + plan_compile + guided + resim
+    + window]. *)
 
 val to_json : t -> Obs.Json.t
-(** The sweep section of a run report: counters, [phases_s] (with
-    [total]), a [sat_solver] object with decisions / conflicts /
-    propagations / learned, and [budget_exhausted] ([null], or an object
-    with [reason] and [phase]). Schema documented in EXPERIMENTS.md. *)
+(** The sweep section of a run report: counters, [phases_s]
+    ({!phase_times}, then [total]), a [sat_solver] object with
+    decisions / conflicts / propagations / learned, and
+    [budget_exhausted] ([null], or an object with [reason] and
+    [phase]). Schema documented in EXPERIMENTS.md. *)
 
 val pp : Format.formatter -> t -> unit
-(** Renders {!to_json} as text, so both use the same names: one
-    [section: key=value ...] line per section ([counters], [phases_s]
-    in seconds to the millisecond, [sat_solver], [budget_exhausted]),
-    wrapped with a two-space indent. *)
+(** Renders {!to_json} as one [section: key=value ...] line per
+    section, seconds to the millisecond, wrapped with a two-space
+    indent. *)

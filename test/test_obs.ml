@@ -33,20 +33,115 @@ let test_clock_spans () =
           ()
         done)
   in
-  check "span sees wall time" true (dt >= 0.01);
-  let cell = ref 0. in
-  let r = Obs.Clock.accumulate cell (fun () -> "ok") in
-  check_str "accumulate result" "ok" r;
-  check "accumulate nonnegative" true (!cell >= 0.);
-  let before = !cell in
-  ignore (Obs.Clock.accumulate cell (fun () -> ()));
-  check "accumulate adds" true (!cell >= before)
+  check "span sees wall time" true (dt >= 0.01)
 
 let test_clock_wall_not_cpu () =
   (* The defining property vs [Sys.time]: sleeping costs wall time but
      almost no CPU time. 20ms sleep must show up on the wall clock. *)
   let dt, () = Obs.Clock.span (fun () -> Unix.sleepf 0.02) in
   check "sleep registers on wall clock" true (dt >= 0.015)
+
+(* ---- span ---- *)
+
+let busy s =
+  let t0 = Obs.Clock.now () in
+  while Obs.Clock.now () -. t0 < s do
+    ()
+  done
+
+let sum_totals sp = List.fold_left (fun acc (_, s) -> acc +. s) 0. (Obs.Span.totals sp)
+
+(* Self times partition the outermost spans: however the spans nest,
+   and with a name recurring at several depths, the totals add up to
+   the roots' summed duration. *)
+let test_span_partition () =
+  let sp = Obs.Span.create [ "a"; "b" ] in
+  let span name f = Obs.Span.with_ sp name f in
+  let r =
+    span "root" (fun () ->
+        busy 0.001;
+        span "a" (fun () ->
+            busy 0.002;
+            span "b" (fun () -> busy 0.002);
+            span "a" (fun () -> span "c" (fun () -> busy 0.001)));
+        span "b" (fun () -> busy 0.001);
+        7)
+  in
+  check_int "result" 7 r;
+  span "second root" (fun () -> span "a" (fun () -> busy 0.001));
+  let totals = Obs.Span.totals sp in
+  List.iter
+    (fun (k, s) -> if s < 0. then Alcotest.failf "%s: negative self time" k)
+    totals;
+  let total = Obs.Span.total sp in
+  check "total sees the roots" true (total >= 0.008);
+  check "b billed its own time" true (List.assoc "b" totals >= 0.003);
+  check "a billed only its self time" true
+    (List.assoc "a" totals >= 0.003 && List.assoc "a" totals < total -. 0.004);
+  if Float.abs (sum_totals sp -. total) > 1e-9 then
+    Alcotest.failf "totals sum to %.12f, roots last %.12f" (sum_totals sp)
+      total
+
+(* A thunk that raises still ends its span: the span bills its time,
+   the exception passes through, and later spans nest correctly. *)
+let test_span_raise () =
+  let sp = Obs.Span.create [] in
+  let span name f = Obs.Span.with_ sp name f in
+  span "root" (fun () ->
+      match span "boom" (fun () -> busy 0.002; raise Exit) with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Exit -> span "after" (fun () -> busy 0.001));
+  (match span "root" (fun () -> span "deep" (fun () -> raise Not_found)) with
+   | () -> Alcotest.fail "the exception was swallowed"
+   | exception Not_found -> ());
+  let totals = Obs.Span.totals sp in
+  check "boom billed" true (List.assoc "boom" totals >= 0.002);
+  check "after billed" true (List.assoc "after" totals >= 0.001);
+  check "deep closed" true (List.mem_assoc "deep" totals);
+  check "both roots counted" true (Obs.Span.total sp >= 0.003);
+  if Float.abs (sum_totals sp -. Obs.Span.total sp) > 1e-9 then
+    Alcotest.fail "a raising span broke the partition"
+
+let test_span_key_order () =
+  let sp = Obs.Span.create [ "x"; "y" ] in
+  let keys () = List.map fst (Obs.Span.totals sp) in
+  check "declared keys first, at zero" true
+    (Obs.Span.totals sp = [ ("x", 0.); ("y", 0.) ]);
+  let span name f = Obs.Span.with_ sp name f in
+  span "z" (fun () -> span "y" (fun () -> span "w" ignore));
+  span "w" (fun () -> span "z" ignore);
+  check "then first-opened order" true (keys () = [ "x"; "y"; "z"; "w" ]);
+  let more = List.init 20 (Printf.sprintf "k%d") in
+  List.iter (fun k -> span k ignore) more;
+  check "new names append in order" true
+    (keys () = [ "x"; "y"; "z"; "w" ] @ more)
+
+(* Tracing must never fail the traced operation: with stderr a pipe
+   whose reader is gone (SIGPIPE ignored, as sweepd runs) and then a
+   closed descriptor, every line is dropped quietly. Tracing stays on
+   afterwards, so this case runs last. *)
+let test_span_trace_failing_stderr () =
+  let saved = Unix.dup ~cloexec:true Unix.stderr in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.close rd;
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let sp = Obs.Span.create [ "a" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved;
+      Unix.close wr;
+      Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () ->
+      Obs.Span.enable_trace ();
+      Unix.dup2 wr Unix.stderr;
+      Obs.Span.with_ sp "a" (fun () ->
+          Obs.Span.trace "a line to a broken pipe: %d" 1;
+          Obs.Span.progress sp "progress to a broken pipe: %s" "ok");
+      Unix.close Unix.stderr;
+      Obs.Span.trace "a line to a closed descriptor";
+      Obs.Span.progress sp "progress to a closed descriptor");
+  check "the span still closed" true (Obs.Span.total sp >= 0.)
 
 (* ---- json ---- *)
 
@@ -505,5 +600,15 @@ let () =
             prop_json_roundtrip;
           qcheck_case ~name:"qcheck round-trip pretty" ~count:500 arb_json
             prop_json_roundtrip_pretty;
+        ] );
+      ( "span",
+        [
+          Alcotest.test_case "self times partition the roots" `Quick
+            test_span_partition;
+          Alcotest.test_case "a raising thunk bills its span" `Quick
+            test_span_raise;
+          Alcotest.test_case "key order is stable" `Quick test_span_key_order;
+          Alcotest.test_case "tracing with a failing stderr never raises"
+            `Quick test_span_trace_failing_stderr;
         ] );
     ]

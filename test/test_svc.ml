@@ -907,33 +907,43 @@ let test_cache_compact () =
         Alcotest.failf "quarantined litter: %s" file)
 
 let test_cache_trace_write_failure () =
-  (* An eviction traces a line. Under --trace, with stderr a pipe whose
-     reader is gone and SIGPIPE ignored (as sweepd runs), that write
-     fails: both stores must still return, and the cache lock must not
-     stay held, so the next find is served. This case leaves the trace
-     enabled, so it runs last. *)
+  (* A quarantine traces the quarantined path. Under --trace, with
+     stderr a pipe whose reader is gone and SIGPIPE ignored (as sweepd
+     runs), that write fails: the find must still return its verdict,
+     and the cache lock must not stay held, so the next find is served.
+     This case leaves the trace enabled, so it runs last. *)
   let dir = tmp_dir "svctrace" in
-  let c = Svc.Cache.open_ ~max_entries:1 dir in
+  let c = Svc.Cache.open_ ~max_entries:2 dir in
   let saved = Unix.dup ~cloexec:true Unix.stderr in
   let rd, wr = Unix.pipe ~cloexec:true () in
   Unix.close rd;
   let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.dup2 saved Unix.stderr;
-      Unix.close saved;
-      Unix.close wr;
-      Sys.set_signal Sys.sigpipe sigpipe)
-    (fun () ->
-      Unix.dup2 wr Unix.stderr;
-      Obs.Trace.enable ();
-      Svc.Cache.store c ~key:(mk_key 0) (entry_of 0);
-      Svc.Cache.store c ~key:(mk_key 1) (entry_of 1));
-  check_int "the second store evicted the first" 1
+  let key1 = mk_key 1 in
+  let corrupt_find =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved;
+        Unix.close wr;
+        Sys.set_signal Sys.sigpipe sigpipe)
+      (fun () ->
+        Unix.dup2 wr Unix.stderr;
+        Obs.Span.enable_trace ();
+        for i = 0 to 2 do
+          Svc.Cache.store c ~key:(mk_key i) (entry_of i)
+        done;
+        let sub = Filename.concat dir (String.sub key1 0 2) in
+        Out_channel.with_open_bin (Filename.concat sub (key1 ^ ".json"))
+          (fun oc -> Out_channel.output_string oc "not json at all");
+        Svc.Cache.find c ~key:key1)
+  in
+  check_int "the third store evicted the first" 1
     (Svc.Cache.counters c).Svc.Cache.c_evictions;
-  match Svc.Cache.find c ~key:(mk_key 1) with
+  check "the overwritten entry was quarantined" true
+    (corrupt_find = Sweep.Engine.Cache_corrupt);
+  match Svc.Cache.find c ~key:(mk_key 2) with
   | Sweep.Engine.Cache_hit e ->
-    check "resident entry served" true (J.member "v" e = Some (J.Int 1))
+    check "resident entry served" true (J.member "v" e = Some (J.Int 2))
   | _ -> Alcotest.fail "the resident entry must be served"
 
 let () =
