@@ -29,7 +29,7 @@ let () =
     (List.length (Sweep.Equiv_classes.candidate_nodes classes));
 
   (* Step 2: SAT-guided patterns thin the false candidates. *)
-  let guided = Sweep.Guided_patterns.generate net pats ~seed:2L in
+  let guided = Sweep.Guided_patterns.generate net pats in
   let tbl = Sim.Kernel.execute plan pats in
   let classes = Sweep.Equiv_classes.create ~num_patterns:(Sim.Patterns.num_patterns pats) in
   Aig.Network.iter_nodes net (fun nd -> Sweep.Equiv_classes.add classes nd tbl.(nd));

@@ -51,18 +51,6 @@ let add_pattern t x =
   t.n <- t.n + 1;
   Array.iteri (fun pi b -> set_bit t pi i b) x
 
-let add_pattern_randomized t rng forced =
-  if Array.length forced <> t.num_pis then
-    invalid_arg "Patterns.add_pattern_randomized";
-  ensure t (t.n + 1);
-  let i = t.n in
-  t.n <- t.n + 1;
-  Array.iteri
-    (fun pi v ->
-      let b = match v with Some b -> b | None -> Rng.bool rng in
-      set_bit t pi i b)
-    forced
-
 let random ~seed ~num_pis ~num_patterns =
   let t = create ~num_pis in
   ensure t num_patterns;

@@ -34,11 +34,6 @@ val word : t -> pi:int -> int -> int
 val add_pattern : t -> bool array -> unit
 (** Appends one assignment (length [num_pis]). *)
 
-val add_pattern_randomized : t -> Sutil.Rng.t -> bool option array -> unit
-(** Appends one assignment where [Some b] positions are forced and [None]
-    positions are drawn from the RNG — used to pad a counter-example into
-    a full word of useful patterns. The array has one entry per PI. *)
-
 val pattern : t -> int -> bool array
 (** The full assignment of pattern [i]. *)
 

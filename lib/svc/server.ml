@@ -319,8 +319,8 @@ let try_dequeue st =
   c
 
 (* Admission control: beyond the high-water mark the connection is
-   answered [R_overloaded] and closed — a typed answer in microseconds
-   beats an unbounded queue that times every client out. *)
+   answered [R_overloaded] and closed — a prompt typed answer beats an
+   unbounded queue that times every client out. *)
 let enqueue_or_shed st conn =
   Mutex.lock st.q_lock;
   let depth = Queue.length st.queue in
@@ -421,9 +421,10 @@ let run ?(stop = Atomic.make false) cfg =
        cfg.socket_path workers
        (if workers = 1 then "" else "s")
        cfg.queue_depth);
-  (* Domain 0 is the acceptor: it owns the listener and the admission
-     decision, so shedding happens at accept time, before a worker is
-     committed. Domains 1..workers serve queued connections. *)
+  (* The acceptor owns the listener and the admission decision, so
+     shedding happens at accept time, before a worker is committed. It
+     is a systhread of domain 0, blocked in [select] nearly always: a
+     domain of its own would idle beside the workers and slow them. *)
   let acceptor () =
     let rec loop () =
       (match st.global_deadline with
@@ -458,8 +459,15 @@ let run ?(stop = Atomic.make false) cfg =
     in
     loop ()
   in
-  Sutil.Par.run ~domains:(workers + 1) (fun i ->
-      if i = 0 then acceptor () else worker ());
+  let accepting = Thread.create acceptor () in
+  (* Workers return once [stop] is set, and one that raises sets it, so
+     the other workers and the acceptor always end. Worker 0 runs on
+     domain 0 beside the acceptor. *)
+  Fun.protect
+    ~finally:(fun () -> Thread.join accepting)
+    (fun () ->
+      Sutil.Par.run ~domains:workers (fun _ ->
+          Fun.protect ~finally:(fun () -> Atomic.set stop true) worker));
   shed_queue st;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());

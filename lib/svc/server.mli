@@ -2,15 +2,20 @@
     run each framed request through the pass pipeline, stream back
     schema-2 reports.
 
-    Concurrency is an acceptor domain plus [domains] worker domains
-    ({!Sutil.Par.run}). The acceptor owns the listener and the
-    admission decision: an accepted connection either enters the
-    bounded queue (at most [queue_depth] waiting) or — beyond the
-    high-water mark — is answered a typed {!Proto.R_overloaded} with a
-    [retry_after_s] hint and closed, in microseconds. Workers pull
-    queued connections and serve each to completion, so up to [domains]
-    requests run truly in parallel and overload degrades to fast typed
-    shedding instead of unbounded queueing.
+    Concurrency is [domains] worker domains ({!Sutil.Par.run}, worker 0
+    on the calling domain) plus an acceptor thread on the calling
+    domain, which is blocked in [select] nearly always (a domain of its
+    own, idle beside the workers, slowed them). The acceptor owns the
+    listener and the admission decision: an accepted connection either
+    enters the bounded queue (at most [queue_depth] waiting) or —
+    beyond the high-water mark — is answered a typed
+    {!Proto.R_overloaded} with a [retry_after_s] hint and closed. That
+    takes microseconds of work, but while worker 0 computes, the
+    acceptor first waits for the calling domain, up to one systhread
+    tick (~50 ms). Workers pull queued connections and serve each to
+    completion, so up to [domains] requests run truly in parallel and
+    overload degrades to fast typed shedding instead of unbounded
+    queueing.
 
     Per-request isolation is the core contract: a hostile frame, an
     unparsable script or AIGER payload, a failed verification, or any
@@ -56,8 +61,10 @@
 
 type config = {
   socket_path : string;
-  domains : int;  (** serving worker domains; clamped to at least 1.
-                      The acceptor runs on its own domain on top. *)
+  domains : int;
+      (** serving worker domains, the calling one included; clamped to
+          at least 1. The acceptor is a thread of the calling domain,
+          so the daemon runs exactly [domains] domains. *)
   queue_depth : int;
       (** accepted connections waiting for a worker before admission
           control sheds with {!Proto.R_overloaded} *)

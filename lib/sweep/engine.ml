@@ -2,7 +2,6 @@ module A = Aig.Network
 module L = Aig.Lit
 module Sg = Sim.Signature
 module P = Sim.Patterns
-module Rng = Sutil.Rng
 
 exception Verification_failed of string
 
@@ -88,7 +87,6 @@ type state = {
   cfg : config;
   stats : Stats.t;
   fresh : A.t;
-  rng : Rng.t;
   pats : P.t;
   plan : Sim.Kernel.t;
   (* the fresh network compiled into the kernel instruction arena,
@@ -327,7 +325,7 @@ let note_counterexample st ce =
   if Obs.Fault.fires fault_drop_ce then ()
   else begin
     st.stats.Stats.ce_patterns <- st.stats.Stats.ce_patterns + 1;
-    P.add_pattern_randomized st.pats st.rng (Array.map (fun b -> Some b) ce);
+    P.add_pattern st.pats ce;
     st.pending_ce <- st.pending_ce + 1;
     if st.pending_ce >= st.cfg.resim_batch then resimulate st
   end
@@ -596,32 +594,28 @@ let run ?(config = stp_config) old_net =
   let span phase f = Obs.Span.with_ stats.Stats.spans phase f in
   let result =
     span Stats.root @@ fun () ->
-    let rng = Rng.create config.seed in
     let num_pis = A.num_pis old_net in
     (* Initial patterns: random words, optionally refined by SAT-guided
        generation on the old network. *)
     let pats =
-      P.random ~seed:(Rng.int64 rng) ~num_pis
+      P.random ~seed:Sutil.Rng.(int64 (create config.seed)) ~num_pis
         ~num_patterns:(32 * max 1 config.initial_words)
     in
     let budget =
       match config.budget with Some b -> b | None -> Obs.Budget.unlimited ()
     in
     if config.guided_init then begin
-      let outcome =
+      let o =
         span "guided" (fun () ->
             Guided_patterns.generate ~max_queries:config.guided_queries
-              ?deadline:(Obs.Budget.deadline budget) old_net pats
-              ~seed:(Rng.int64 rng))
+              ?deadline:(Obs.Budget.deadline budget) old_net pats)
       in
-      (* Guided queries that came back UNSAT proved input nodes
-         constant. The engine does not need them seeded: a truly
-         constant node's signature collides with node 0 on every
-         pattern set, so the class walk proves the merge anyway — but
-         the work was real, so record it instead of discarding the list
-         silently. *)
-      stats.Stats.guided_consts <-
-        List.length outcome.Guided_patterns.proven_const
+      (* Proven constants need no seeding: a constant node's signature
+         collides with node 0 on every pattern set, so the class walk
+         merges it anyway. The counters record the guided work. *)
+      stats.Stats.guided_consts <- List.length o.Guided_patterns.proven_const;
+      stats.Stats.guided_sat_calls <- o.Guided_patterns.queries;
+      stats.Stats.guided_patterns <- o.Guided_patterns.patterns_added
     end;
     stats.Stats.initial_patterns <- P.num_patterns pats;
     let fresh = A.create ~capacity:(A.num_nodes old_net) () in
@@ -631,7 +625,6 @@ let run ?(config = stp_config) old_net =
             cfg = config;
             stats;
             fresh;
-            rng;
             pats;
             plan = Sim.Kernel.compile_aig ~hint:(A.num_nodes old_net) fresh;
             sigs = Array.make (max 16 (A.num_nodes old_net)) [||];

@@ -75,7 +75,9 @@ type config = {
       (** candidates SAT-checked per node before giving up — the engine's
           rendition of the paper's TFI bound [n = 1000] *)
   guided_init : bool;
-  guided_queries : int;  (** query budget for guided initialization *)
+  guided_queries : int;
+      (** candidates guided initialization examines at most; a
+          cut-proven one counts but costs no SAT call *)
   window_refine : bool;
       (** the window tiers, in front of the solver for every candidate
           pair. First a cut-frontier window ({!Cut_window}): exhaustive

@@ -1,7 +1,5 @@
 module A = Aig.Network
 module L = Aig.Lit
-module Sg = Sim.Signature
-module Rng = Sutil.Rng
 
 type outcome = {
   patterns_added : int;
@@ -10,56 +8,54 @@ type outcome = {
 }
 
 let generate ?(max_queries = 256) ?(low_ratio = 0.02) ?conflict_limit
-    ?deadline net pats ~seed =
-  let rng = Rng.create seed in
-  let solver = Sat.Solver.create () in
-  let env = Sat.Tseitin.create net solver in
-  let queries = ref 0 in
-  let added = ref 0 in
+    ?deadline net pats =
+  let env = Sat.Tseitin.create net (Sat.Solver.create ()) in
+  let cut = Cut_window.create () in
+  let examined = ref 0 and queries = ref 0 and added = ref 0 in
   let consts = ref [] in
-  (* Proven-constant flags, updated the moment a query proves one: an
-     O(1) check per node instead of a per-round [List.memq] scan of a
-     snapshot (O(ANDs x consts), and blind to constants proven earlier
-     in the same pass over the network). *)
+  (* Proven-constant flags: an O(1) check per node, current from the
+     moment a node is proven. *)
   let proven = Bytes.make (max 1 (A.num_nodes net)) '\000' in
-  let np () = Sim.Patterns.num_patterns pats in
   let expired () =
     match deadline with Some d -> Obs.Clock.now () > d | None -> false
   in
-  (* Ask for a pattern on which [node] takes [want]; append it padded with
-     random values on PIs outside the encoded cone. *)
+  let const node v =
+    consts := (node, v) :: !consts;
+    Bytes.set proven node '\001'
+  in
+  (* A pattern on which [node] takes [want]. The cut tier goes first: a
+     node it proves equal or complementary to node 0 needs no query. *)
   let query node want =
-    incr queries;
-    match
-      Sat.Tseitin.check_const ?conflict_limit ?deadline env
-        (L.of_node node false) (not want)
-    with
-    | Sat.Tseitin.Counterexample ce ->
-      Sim.Patterns.add_pattern_randomized pats rng
-        (Array.map (fun b -> Some b) ce);
-      incr added;
-      true
-    | Sat.Tseitin.Equivalent ->
-      (* node is constantly [not want]. *)
-      consts := (node, not want) :: !consts;
-      Bytes.set proven node '\001';
-      false
-    | Sat.Tseitin.Undetermined | Sat.Tseitin.Uncertified _ -> false
+    incr examined;
+    match Cut_window.verdict cut net node 0 with
+    | `Equal -> const node false
+    | `Compl -> const node true
+    | `Unknown -> (
+      incr queries;
+      match
+        Sat.Tseitin.check_const ?conflict_limit ?deadline env
+          (L.of_node node false) (not want)
+      with
+      | Sat.Tseitin.Counterexample ce ->
+        Sim.Patterns.add_pattern pats ce;
+        incr added
+      | Sat.Tseitin.Equivalent -> const node (not want)
+      | Sat.Tseitin.Undetermined | Sat.Tseitin.Uncertified _ -> ())
   in
   (* The network does not change here, only the pattern set grows: one
      plan serves both rounds. *)
   let plan = Sim.Kernel.compile_aig net in
   let round threshold =
     let tbl = Sim.Kernel.execute plan pats in
-    let n = np () in
+    let n = Sim.Patterns.num_patterns pats in
     let lo = int_of_float (ceil (threshold *. float_of_int n)) in
     A.iter_ands net (fun nd ->
-        if !queries < max_queries && (not (expired ()))
+        if !examined < max_queries && (not (expired ()))
            && Bytes.get proven nd = '\000'
         then begin
-          let ones = Sg.count_ones tbl.(nd) in
-          if ones <= lo then ignore (query nd true)
-          else if n - ones <= lo then ignore (query nd false)
+          let ones = Sim.Signature.count_ones tbl.(nd) in
+          if ones <= lo then query nd true
+          else if n - ones <= lo then query nd false
         end)
   in
   (* Round one: strict constants. Round two: rare values. *)

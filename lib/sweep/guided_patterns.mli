@@ -4,20 +4,22 @@
     random set:
 
     - round one targets nodes whose signature is all-zeros or all-ones —
-      a SAT query either yields a pattern producing the missing value
+      a query either yields a pattern producing the missing value
       (killing a false constant candidate before it costs an equivalence
       query later) or proves the node genuinely constant;
     - round two targets nodes whose signature has very few ones or very
       few zeros, generating patterns that exercise the rare value so
       near-constant signatures stop colliding into one candidate class.
 
-    The queries run on their own solver against the unswept network; the
-    produced patterns are plain PI assignments reusable by any engine. *)
+    The cut tier ({!Cut_window.verdict} on [(node, 0)]) answers each
+    candidate first and proves most true constants with no solver call.
+    The rest are SAT queries on their own solver against the unswept
+    network; each model is appended as a plain PI assignment. *)
 
 type outcome = {
   patterns_added : int;
   proven_const : (int * bool) list;
-      (** nodes round one proved constant, with their value *)
+      (** nodes proven constant, by the cut tier or SAT, with their value *)
   queries : int;  (** SAT queries spent *)
 }
 
@@ -28,10 +30,9 @@ val generate :
   ?deadline:float ->
   Aig.Network.t ->
   Sim.Patterns.t ->
-  seed:int64 ->
   outcome
 (** Appends patterns to the given set in place. [low_ratio] (default
     0.02) is round two's rare-value threshold; [max_queries] (default
-    256) bounds total solver usage; [deadline] (absolute wall clock)
-    stops issuing queries — and interrupts the in-flight one — once it
-    passes, returning whatever was generated so far. *)
+    256) bounds the candidates examined, cut-proven ones included;
+    [deadline] (absolute wall clock) stops examining — and interrupts
+    the in-flight query — once it passes. *)

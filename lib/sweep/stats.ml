@@ -21,6 +21,8 @@ type t = {
   mutable certified_models : int;
   mutable certificate_rejected : int;
   mutable guided_consts : int;
+  mutable guided_sat_calls : int;
+  mutable guided_patterns : int;
   mutable cube_splits : int;
   mutable cube_queries : int;
   mutable cache_hits : int;
@@ -54,6 +56,8 @@ let create () =
     certified_models = 0;
     certificate_rejected = 0;
     guided_consts = 0;
+    guided_sat_calls = 0;
+    guided_patterns = 0;
     cube_splits = 0;
     cube_queries = 0;
     cache_hits = 0;
@@ -102,6 +106,8 @@ let to_json t =
             ("certified_models", Int t.certified_models);
             ("certificate_rejected", Int t.certificate_rejected);
             ("guided_consts", Int t.guided_consts);
+            ("guided_sat_calls", Int t.guided_sat_calls);
+            ("guided_patterns", Int t.guided_patterns);
             ("cube_splits", Int t.cube_splits);
             ("cube_queries", Int t.cube_queries);
             ("cache_hits", Int t.cache_hits);

@@ -70,10 +70,12 @@ type t = {
           exactly like budget exhaustion. Zero unless the solver lies. *)
   mutable guided_consts : int;
       (** nodes the guided-pattern initialization proved constant on the
-          input network. The engine merges them through the ordinary
-          class machinery (a constant node's signature always collides
-          with node 0), so this records guided work rather than extra
-          merges. *)
+          input network, by the cut tier or by SAT. The engine merges
+          them through the ordinary class machinery (a constant node's
+          signature always collides with node 0), so this records guided
+          work rather than extra merges. *)
+  mutable guided_sat_calls : int;  (** its SAT queries, outside [sat_*] *)
+  mutable guided_patterns : int;  (** the patterns it appended *)
   mutable cube_splits : int;
       (** parallel dispatch: hard miters (conflict schedule exhausted)
           split cube-and-conquer style across the solver domains *)

@@ -55,10 +55,7 @@ let test_patterns_grow () =
   done;
   check_int "grown" 100 (P.num_patterns p);
   check "bit 98" true (P.get p ~pi:0 ~pattern:98);
-  check "bit 99" false (P.get p ~pi:0 ~pattern:99);
-  let rng = Rng.create 5L in
-  P.add_pattern_randomized p rng [| Some true; None |];
-  check "forced bit" true (P.get p ~pi:0 ~pattern:100)
+  check "bit 99" false (P.get p ~pi:0 ~pattern:99)
 
 (* ---- reference evaluation ---- *)
 

@@ -127,13 +127,55 @@ let test_guided_patterns () =
   for i = 0 to 31 do
     Sim.Patterns.add_pattern pats [| false; i land 1 = 1; i land 2 = 2 |]
   done;
-  let outcome = Sweep.Guided_patterns.generate net pats ~seed:5L in
+  let outcome = Sweep.Guided_patterns.generate net pats in
   check "patterns were added" true (outcome.Sweep.Guided_patterns.patterns_added > 0);
   check "constant proven" true
     (List.mem (L.node k, false) outcome.Sweep.Guided_patterns.proven_const);
   (* The rare node must now toggle under the refined pattern set. *)
   let tbl = Sim.Kernel.execute (Sim.Kernel.compile_aig net) pats in
   check "rare node toggles" true (Sg.count_ones tbl.(L.node rare) > 0)
+
+(* Guided initialization asks the cut tier before the solver. Nodes:
+   [ab = a & b], the cut-provable constant [k = ab & !a], and (with
+   [rare]) [ab & c], which is 1 on one assignment only. The seed
+   patterns toggle [ab] but hold [c] at 0, so the candidates are [k]
+   and [rare], in that order. *)
+let test_guided_cut_first () =
+  let tiny ~rare =
+    let net = A.create () in
+    let a = A.add_pi net and b = A.add_pi net and c = A.add_pi net in
+    let ab = A.add_and net a b in
+    let k = A.add_and net ab (L.not_ a) in
+    let r = if rare then A.add_and net ab c else ab in
+    List.iter (fun l -> ignore (A.add_po net l)) [ k; r ];
+    let pats = Sim.Patterns.create ~num_pis:3 in
+    for i = 0 to 31 do
+      Sim.Patterns.add_pattern pats [| i land 1 = 1; i land 2 = 2; false |]
+    done;
+    (net, pats, L.node k, L.node r)
+  in
+  let module G = Sweep.Guided_patterns in
+  (* (i) The only candidate is cut-provable: proven with no query. *)
+  let net, pats, k, _ = tiny ~rare:false in
+  let o = G.generate net pats in
+  check_int "no SAT query" 0 o.G.queries;
+  check "cut-proven constant listed" true (o.G.proven_const = [ (k, false) ]);
+  (* (ii) [rare] still gets its SAT query, and a pattern toggling it;
+     every query is satisfiable, since [k] never reached the solver. *)
+  let net, pats, k, rare = tiny ~rare:true in
+  let o = G.generate net pats in
+  check "rare node queried" true (o.G.queries > 0);
+  check_int "every query added a pattern" o.G.queries o.G.patterns_added;
+  check "constant proven" true (o.G.proven_const = [ (k, false) ]);
+  let tbl = Sim.Kernel.execute (Sim.Kernel.compile_aig net) pats in
+  check "rare node toggles" true (Sg.count_ones tbl.(rare) > 0);
+  (* (iii) A cut-proven candidate counts against [max_queries]: with a
+     budget of one, [k] spends it and [rare] is not examined. *)
+  let net, pats, k, _ = tiny ~rare:true in
+  let o = G.generate ~max_queries:1 net pats in
+  check_int "budget spent on the cut proof" 0 o.G.queries;
+  check_int "no pattern" 0 o.G.patterns_added;
+  check "constant proven" true (o.G.proven_const = [ (k, false) ])
 
 (* ---- sweeping ---- *)
 
@@ -865,7 +907,10 @@ let test_guided_consts_recorded () =
       match Obs.Json.member k counters with
       | Some (Obs.Json.Int _) -> ()
       | _ -> Alcotest.failf "%s missing from the JSON report" k)
-    [ "guided_consts"; "cube_splits"; "cube_queries" ]
+    [
+      "guided_consts"; "guided_sat_calls"; "guided_patterns"; "cube_splits";
+      "cube_queries";
+    ]
 
 (* ---- budgets, degradation, faults ---- *)
 
@@ -1690,6 +1735,7 @@ let () =
           Alcotest.test_case "equiv classes" `Quick test_equiv_classes;
           Alcotest.test_case "cec" `Quick test_cec;
           Alcotest.test_case "guided patterns" `Quick test_guided_patterns;
+          Alcotest.test_case "guided cut first" `Quick test_guided_cut_first;
         ] );
       ( "engines",
         [
