@@ -27,7 +27,9 @@ type clause = { lits : int array; mutable dead : bool }
 type t = {
   mutable clauses : clause array;
   mutable num_clauses : int;
-  mutable watches : Vec.t array; (* per literal: ids watching it *)
+  mutable watches : Vec.t array;
+      (* per literal: ids watching it; [no_watches] until the first *)
+  no_watches : Vec.t; (* always empty; never pushed to *)
   mutable assign : int array; (* per var: -1 unassigned / 0 false / 1 true *)
   mutable reason : int array; (* per var: clause id or -1 *)
   mutable nvars : int;
@@ -50,6 +52,7 @@ let create () =
     clauses = Array.make 64 dead_clause;
     num_clauses = 0;
     watches = [||];
+    no_watches = Vec.create ~capacity:1 ();
     assign = [||];
     reason = [||];
     nvars = 0;
@@ -77,12 +80,8 @@ let grow_vars t nvars =
       in
       t.assign <- extend t.assign (-1);
       t.reason <- extend t.reason (-1);
-      let oldw = Array.length t.watches in
-      let neww = Array.make (2 * n) (Vec.create ()) in
-      Array.blit t.watches 0 neww 0 oldw;
-      for i = oldw to (2 * n) - 1 do
-        neww.(i) <- Vec.create ~capacity:4 ()
-      done;
+      let neww = Array.make (2 * n) t.no_watches in
+      Array.blit t.watches 0 neww 0 (Array.length t.watches);
       t.watches <- neww
     end;
     t.nvars <- nvars
@@ -94,6 +93,20 @@ let grow_for_lits t lits =
       if l < 0 then invalid_arg "Drup: negative literal";
       grow_vars t (var_of l + 1))
     lits
+
+(* Every watch goes through here: a literal's list is allocated on its
+   first watch, so the shared empty list is never written. *)
+let watch t l id =
+  let ws = t.watches.(l) in
+  let ws =
+    if ws != t.no_watches then ws
+    else begin
+      let ws = Vec.create ~capacity:4 () in
+      t.watches.(l) <- ws;
+      ws
+    end
+  in
+  Vec.push ws id
 
 let val_lit t l =
   let a = t.assign.(var_of l) in
@@ -148,7 +161,7 @@ let propagate t =
             if val_lit t lits.(!k) <> 0 then begin
               lits.(1) <- lits.(!k);
               lits.(!k) <- f;
-              Vec.push t.watches.(lits.(1)) cid;
+              watch t lits.(1) cid;
               moved := true
             end;
             incr k
@@ -218,8 +231,8 @@ let add_core t lits =
       if not (propagate t) then t.conflicting <- true
     end
     else begin
-      Vec.push t.watches.(arr.(0)) id;
-      Vec.push t.watches.(arr.(1)) id
+      watch t arr.(0) id;
+      watch t arr.(1) id
     end
   end
 

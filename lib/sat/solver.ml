@@ -57,7 +57,9 @@ type t = {
   mutable watches : Vec.t array;
   (* per literal: flat (cref, blocker) pairs — the blocker is some other
      literal of the clause (usually the other watch); if it is already
-     true the clause is satisfied and the visit never touches the arena. *)
+     true the clause is satisfied and the visit never touches the arena.
+     A literal nothing has watched yet holds [no_watches]. *)
+  no_watches : Vec.t; (* always empty; never pushed to *)
   (* per-variable state *)
   mutable assign : int array; (* -1 unassigned / 0 false / 1 true *)
   mutable vlevel : int array;
@@ -111,6 +113,7 @@ let create () =
     learnts = Vec.create ();
     orig_clauses = 0;
     watches = [||];
+    no_watches = Vec.create ~capacity:1 ();
     assign = [||];
     vlevel = [||];
     reason = [||];
@@ -262,12 +265,8 @@ let new_var t =
     t.heap_pos <- extend t.heap_pos (-1);
     t.seen <- extend t.seen 0;
     t.lbd_stamp <- extend t.lbd_stamp 0;
-    let oldw = Array.length t.watches in
-    let neww = Array.make (2 * n) (Vec.create ()) in
-    Array.blit t.watches 0 neww 0 oldw;
-    for i = oldw to (2 * n) - 1 do
-      neww.(i) <- Vec.create ~capacity:4 ()
-    done;
+    let neww = Array.make (2 * n) t.no_watches in
+    Array.blit t.watches 0 neww 0 (Array.length t.watches);
     t.watches <- neww
   end;
   heap_insert t v;
@@ -313,13 +312,24 @@ let arena_ensure t need =
     t.arena <- a
   end
 
+(* Every watcher goes through here: a literal's list is allocated on its
+   first watcher, so the shared empty list is never written. *)
+let watch t l c blocker =
+  let w = t.watches.(l) in
+  let w =
+    if w != t.no_watches then w
+    else begin
+      let w = Vec.create ~capacity:4 () in
+      t.watches.(l) <- w;
+      w
+    end
+  in
+  Vec.push w c;
+  Vec.push w blocker
+
 let attach_watches t c l0 l1 =
-  let w0 = t.watches.(neg l0) in
-  Vec.push w0 c;
-  Vec.push w0 l1;
-  let w1 = t.watches.(neg l1) in
-  Vec.push w1 c;
-  Vec.push w1 l0
+  watch t (neg l0) c l1;
+  watch t (neg l1) c l0
 
 let alloc_clause t lits learnt lbd =
   let size = Array.length lits in
@@ -451,9 +461,7 @@ let propagate t =
                   Array.unsafe_set arena (off + 1)
                     (Array.unsafe_get arena (off + !k));
                   Array.unsafe_set arena (off + !k) falsified;
-                  let w = t.watches.(neg arena.(off + 1)) in
-                  Vec.push w c;
-                  Vec.push w first;
+                  watch t (neg arena.(off + 1)) c first;
                   found := true
                 end;
                 incr k

@@ -6,11 +6,14 @@ module C = Stp.Cascade
 
 let word_mask = 0xFFFFFFFF
 
-(* Words per executor block: 16 words = 512 patterns. Small enough that
-   a block's slice of every live row stays cache-resident while the
-   instruction stream walks the network, large enough to amortize the
-   per-instruction dispatch. *)
-let block_words = 16
+(* Widest executor block: 512 words = 16,384 patterns; a shorter word
+   range is one block. Each instruction streams a whole block of its
+   rows, so it is dispatched once per block. A cascade keeps one
+   block-wide scratch row per slot, which is what bounds the block. *)
+let block_words = 512
+
+(* Word ranges no wider than this run on the calling domain. *)
+let shard_min_words = 16
 
 (* Opcodes. One instruction per node, instruction index = node id. *)
 let op_const = 0
@@ -243,6 +246,8 @@ let extend_klut t ?cache ~style net =
        in
        if narrow then begin
          let c = Cache.get cache (K.func net nd) in
+         (* The executor writes the last selection to the node's row. *)
+         assert (c.C.root < 2 || c.C.root = C.length c + 1);
          t.op.(nd) <- op_cascade;
          t.x0.(nd) <- fo;
          t.x1.(nd) <- pool_add_cascade t c;
@@ -269,8 +274,9 @@ let compile_klut ?hint ?cache ~style net =
 (* ---- block executor ---- *)
 
 (* Run instructions [inst_lo, inst_hi) over pattern words [lo, hi),
-   block-tiled: the outer loop takes [block_words]-wide word blocks, the
-   inner loop streams the instruction arena over each block. Rows are
+   block-tiled: the outer loop takes word blocks of [bw] words
+   ([block_words], or the whole range if that is shorter), the inner
+   loop streams the instruction arena over each block. Rows are
    caller-allocated ([tbl], indexed by node id) and only words in
    [lo, hi) of rows [inst_lo, inst_hi) are written, so disjoint word
    ranges can run in separate domains and instruction suffixes can be
@@ -286,15 +292,24 @@ let run t pats (tbl : int array array) ~inst_lo ~inst_hi ~lo ~hi =
   let fanin_pool = t.fanin_pool
   and tt_pool = t.tt_pool
   and casc_pool = t.casc_pool in
-  (* Per-call scratch (per domain when sharded): cascade slots and fanin
-     row bindings. Slot 0 is constant 0, slot 1 constant 1. *)
-  let slots = Array.make (max 2 t.max_slots) 0 in
-  slots.(1) <- word_mask;
+  let bw = max 1 (min block_words (hi - lo)) in
+  (* Per-call scratch (per domain when sharded): fanin row bindings, and
+     for plans with cascades the slot rows, flat: word [w] of slot [s]
+     in the block starting at [blo] is [slots.(s * bw + w - blo)]. Slot
+     0 is constant 0, slot 1 constant 1. *)
+  let slots =
+    if t.casc_len = 0 then [||]
+    else begin
+      let s = Array.make (t.max_slots * bw) 0 in
+      Array.fill s bw bw word_mask;
+      s
+    end
+  in
   let rows = Array.make (max 1 t.max_k) [||] in
   let b_lo = ref lo in
   while !b_lo < hi do
     let blo = !b_lo in
-    let bhi = min hi (blo + block_words) in
+    let bhi = min hi (blo + bw) in
     for i = inst_lo to inst_hi - 1 do
       let o = Array.unsafe_get op i in
       if o = op_and then begin
@@ -324,23 +339,23 @@ let run t pats (tbl : int array array) ~inst_lo ~inst_hi ~lo ~hi =
           for j = 0 to k - 1 do
             rows.(j) <- tbl.(fanin_pool.(fo + j))
           done;
-          for w = blo to bhi - 1 do
-            for ic = 0 to ni - 1 do
-              let at = base + (3 * ic) in
-              let x =
-                Array.unsafe_get
-                  (Array.unsafe_get rows (Array.unsafe_get casc_pool at))
-                  w
-              in
-              Array.unsafe_set slots (ic + 2)
-                ((x
-                 land Array.unsafe_get slots
-                        (Array.unsafe_get casc_pool (at + 1)))
-                lor (lnot x
-                    land Array.unsafe_get slots
-                           (Array.unsafe_get casc_pool (at + 2))))
-            done;
-            Array.unsafe_set out w (Array.unsafe_get slots root land word_mask)
+          (* Selection-major: each selection streams the block's words
+             of its selector row through the slot rows. The last one is
+             the root, so it writes the node's row instead. *)
+          for ic = 0 to ni - 1 do
+            let at = base + (3 * ic) in
+            let x = Array.unsafe_get rows (Array.unsafe_get casc_pool at) in
+            let sh = (Array.unsafe_get casc_pool (at + 1) * bw) - blo
+            and sl = (Array.unsafe_get casc_pool (at + 2) * bw) - blo in
+            let last = ic = ni - 1 in
+            let dst = if last then out else slots
+            and d = if last then 0 else ((ic + 2) * bw) - blo in
+            for w = blo to bhi - 1 do
+              let xw = Array.unsafe_get x w in
+              Array.unsafe_set dst (d + w)
+                ((xw land Array.unsafe_get slots (sh + w))
+                lor (lnot xw land Array.unsafe_get slots (sl + w)))
+            done
           done
         end
       end
@@ -390,7 +405,7 @@ let run t pats (tbl : int array array) ~inst_lo ~inst_hi ~lo ~hi =
    instruction stream (block-tiled) over its own slice, writing a
    disjoint word slice of every row — bit-identical to sequential. *)
 let run_sharded ?(domains = 1) t pats tbl ~inst_lo ~inst_hi ~lo ~hi =
-  if domains <= 1 || hi - lo <= block_words then
+  if domains <= 1 || hi - lo <= shard_min_words then
     run t pats tbl ~inst_lo ~inst_hi ~lo ~hi
   else
     Sutil.Par.for_ranges ~domains (hi - lo) (fun ~lo:l ~hi:h ->

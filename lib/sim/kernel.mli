@@ -28,16 +28,18 @@
       the same gather loop, so the library has exactly one audited inner
       loop for it.
 
-    The {e block executor} runs a plan over contiguous multi-word
-    pattern blocks: instruction-major within each block so row slices
-    stay cache-resident, sharded across domains at plan granularity
-    (each domain executes the whole plan over its own word slice, so
-    every [domains] value gives bit-identical tables). Plans are
-    growable in place — {!extend_aig} appends instructions for nodes
-    created since the last compilation, and {!run} accepts instruction
-    and word sub-ranges, which is what the sweep engine's incremental
-    patching (append nodes / refresh stale trailing words) is built
-    from. *)
+    The {e block executor} runs a plan over contiguous pattern blocks
+    of up to 512 words (16,384 patterns), instruction-major within each
+    block, so each instruction is dispatched once per block and streams
+    the block's words of its rows; a cascade runs selection by
+    selection over the block. Execution is sharded across domains at
+    plan granularity (each domain executes the whole plan over its own
+    word slice, so every [domains] value gives bit-identical tables).
+    Plans are growable in place — {!extend_aig} appends instructions
+    for nodes created since the last compilation, and {!run} accepts
+    instruction and word sub-ranges, which is what the sweep engine's
+    incremental patching (append nodes / refresh stale trailing words)
+    is built from. *)
 
 (** Bounded cascade-compilation cache, shared across plans. *)
 module Cache : sig

@@ -16,7 +16,9 @@ type t = {
   sel_var : int array;  (** fanin position whose word selects *)
   sel_hi : int array;  (** slot of the var=1 cofactor matrix *)
   sel_lo : int array;
-  root : int;  (** slot holding the node's column selection *)
+  root : int;
+      (** slot holding the node's column selection: 0 or 1 for a
+          constant function, otherwise the last instruction's slot *)
 }
 
 val compile : Tt.Truth_table.t -> t

@@ -88,11 +88,11 @@ let random_aig rng ~pis ~gates ~pos =
   done;
   net
 
-let random_klut rng ~pis ~luts =
+let random_klut ?(max_arity = 4) rng ~pis ~luts =
   let net = K.create () in
   let nodes = ref (List.init pis (fun _ -> K.add_pi net)) in
   for _ = 1 to luts do
-    let arity = 1 + Rng.int rng 4 in
+    let arity = 1 + Rng.int rng max_arity in
     let fanins =
       Array.init arity (fun _ ->
           List.nth !nodes (Rng.int rng (List.length !nodes)))
@@ -372,15 +372,20 @@ let test_incremental_is_incremental () =
 let qcheck_case ~name ~count arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
-(* seed, domains 1..4, pattern count deliberately spanning non-multiples
-   of 32 so the tail-word fix-up is exercised. *)
+(* Pattern counts, deliberately spanning non-multiples of 32 so the
+   tail-word fix-up is exercised: a few words, or enough for
+   [run_sharded] to split the range (more than 16 words) and for a
+   range to span several 512-word executor blocks. *)
+let gen_num_patterns =
+  QCheck.Gen.(oneof [ int_range 1 200; int_range 513 40_000 ])
+
 let arb_par_case =
   QCheck.make
     ~print:(fun (s, d, np) -> Printf.sprintf "seed=%Ld domains=%d patterns=%d" s d np)
     QCheck.Gen.(
       let* s = ui64 in
       let* d = int_range 1 4 in
-      let* np = int_range 1 200 in
+      let* np = gen_num_patterns in
       return (s, d, np))
 
 let prop_parallel_aig (seed, domains, np) =
@@ -488,7 +493,7 @@ let arb_kernel_case =
     QCheck.Gen.(
       let* s = ui64 in
       let* d = oneofl [ 1; 2; 4 ] in
-      let* np = int_range 1 200 in
+      let* np = gen_num_patterns in
       return (s, d, np))
 
 let prop_kernel_aig_vs_eval (seed, domains, np) =
@@ -567,6 +572,83 @@ let prop_plan_patch (seed, domains, np) =
   done;
   let scratch = Sim.Kernel.execute ~domains (Sim.Kernel.compile_aig net) pats in
   Sim.Kernel.num_instructions plan = n && ext = scratch
+
+(* [run] over a word sub-range [lo, hi) that starts and ends anywhere
+   and may span several executor blocks: the rows hold the reference
+   values on every pattern of the range, and no word outside it is
+   written. Cases: seed, domains (1 is [run] itself), and the range
+   within a table of [lo + len + after] words. *)
+let arb_range_case =
+  QCheck.make
+    ~print:(fun (s, d, lo, len, after) ->
+      Printf.sprintf "seed=%Ld domains=%d range=[%d,%d) words=%d" s d lo
+        (lo + len) (lo + len + after))
+    QCheck.Gen.(
+      let* s = ui64 in
+      let* d = oneofl [ 1; 2; 4 ] in
+      let* lo = int_range 0 600 in
+      let* len = int_range 1 1300 in
+      let* after = int_range 0 40 in
+      return (s, d, lo, len, after))
+
+(* The table's last word carries a non-multiple-of-32 tail. *)
+let range_patterns rng ~pis ~lo ~len ~after =
+  let nw = lo + len + after in
+  P.random ~seed:(Rng.int64 rng) ~num_pis:pis
+    ~num_patterns:((nw * 32) - Rng.int rng 32)
+
+(* Runs every plan over [lo, hi) into its own table of poisoned rows,
+   then checks them all against one reference evaluation per pattern. *)
+let range_ok ~domains ~lo ~hi plans pats ~n eval =
+  let poison = 0x5A5A5A5A in
+  let nw = P.num_words pats in
+  let tables =
+    List.map
+      (fun plan ->
+        let tbl = Array.init n (fun _ -> Array.make nw poison) in
+        Sim.Kernel.run_sharded ~domains plan pats tbl ~inst_lo:0 ~inst_hi:n
+          ~lo ~hi;
+        tbl)
+      plans
+  in
+  let ok = ref true in
+  for p = lo * 32 to min (P.num_patterns pats) (hi * 32) - 1 do
+    let v = eval (P.pattern pats p) in
+    List.iter
+      (fun tbl ->
+        for nd = 0 to n - 1 do
+          if Sg.get tbl.(nd) p <> v.(nd) then ok := false
+        done)
+      tables
+  done;
+  List.iter
+    (Array.iter (fun row ->
+         Array.iteri
+           (fun w x -> if (w < lo || w >= hi) && x <> poison then ok := false)
+           row))
+    tables;
+  !ok
+
+let prop_run_range_aig (seed, domains, lo, len, after) =
+  let rng = Rng.create seed in
+  let net = random_aig rng ~pis:6 ~gates:40 ~pos:2 in
+  let pats = range_patterns rng ~pis:6 ~lo ~len ~after in
+  range_ok ~domains ~lo ~hi:(lo + len)
+    [ Sim.Kernel.compile_aig net ]
+    pats ~n:(A.num_nodes net) (eval_aig net)
+
+(* LUTs of up to 10 inputs: [`Stp] runs cascades up to
+   {!Sim.Kernel.cascade_max_fanins} inputs and matrix passes above it,
+   [`Bitblast] matrix passes throughout. *)
+let prop_run_range_klut (seed, domains, lo, len, after) =
+  let rng = Rng.create seed in
+  let net = random_klut ~max_arity:10 rng ~pis:10 ~luts:16 in
+  let pats = range_patterns rng ~pis:10 ~lo ~len ~after in
+  range_ok ~domains ~lo ~hi:(lo + len)
+    (List.map
+       (fun style -> Sim.Kernel.compile_klut ~style net)
+       [ `Stp; `Bitblast ])
+    pats ~n:(K.num_nodes net) (eval_klut net)
 
 (* Random interleavings of pattern appends and tail refreshes: after
    every refresh the patched table equals a from-scratch simulation. *)
@@ -760,6 +842,10 @@ let () =
             arb_kernel_case prop_plan_patch;
           qcheck_case ~name:"incremental sequences" ~count:30
             arb_incremental_case prop_incremental_sequences;
+          qcheck_case ~name:"aig run on a word range" ~count:40 arb_range_case
+            prop_run_range_aig;
+          qcheck_case ~name:"klut run on a word range" ~count:40
+            arb_range_case prop_run_range_klut;
           Alcotest.test_case "cache bound" `Quick test_kernel_cache_bound;
           Alcotest.test_case "empty pattern set" `Quick
             test_kernel_empty_patterns;
