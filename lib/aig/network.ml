@@ -9,11 +9,35 @@ type t = {
   fanouts : Vec.t; (* reference counts, updated on add *)
   pis : Vec.t; (* node ids of PIs in creation order *)
   outs : Vec.t; (* PO driver literals *)
-  strash : (int, int) Hashtbl.t; (* (f0, f1) packed -> node *)
+  mutable strash : int array; (* structural hash of the ANDs, see [probe] *)
 }
 
 let pi_tag = -1
 let const_tag = -2
+
+(* The structural-hash table is open addressing with linear probing over
+   ints: a slot holds an AND's node id, or 0 when free (node 0 is the
+   constant, never an AND), and the node's own fanins are its key. The
+   load stays at most one half, so a network that stays within
+   [capacity] nodes never rehashes. *)
+let strash_table ~capacity =
+  let slots = ref 16 in
+  while !slots < 2 * capacity do
+    slots := 2 * !slots
+  done;
+  Array.make !slots 0
+
+(* The slot holding the AND of [f0] and [f1], or the free slot where it
+   would go. The hash mixes the packed fanin pair. *)
+let probe t f0 f1 =
+  let mask = Array.length t.strash - 1 in
+  let rec go s =
+    let nd = t.strash.(s) in
+    if nd = 0 || (Vec.get t.fan0 nd = f0 && Vec.get t.fan1 nd = f1) then s
+    else go ((s + 1) land mask)
+  in
+  let h = ((f0 lsl 30) lor f1) * 0x2545F4914F6CDD1D in
+  go ((h lxor (h lsr 29)) land mask)
 
 let create ?(capacity = 1024) () =
   let t =
@@ -24,7 +48,7 @@ let create ?(capacity = 1024) () =
       fanouts = Vec.create ~capacity ();
       pis = Vec.create ();
       outs = Vec.create ();
-      strash = Hashtbl.create (max capacity 64);
+      strash = strash_table ~capacity;
     }
   in
   (* Node 0: constant false. *)
@@ -71,10 +95,6 @@ let add_pi t =
   Vec.push t.pis n;
   Lit.of_node n false
 
-(* Strash key: fanins fit in 30 bits each on 64-bit OCaml for networks of
-   < 2^29 nodes, far beyond anything here. *)
-let key f0 f1 = (f0 lsl 30) lor f1
-
 let order f0 f1 = if f0 > f1 then (f1, f0) else (f0, f1)
 
 let incr_fanout t n = Vec.set t.fanouts n (Vec.get t.fanouts n + 1)
@@ -86,9 +106,20 @@ let find_and t f0 f1 =
   else if f0 = f1 then Some f0
   else if f0 = Lit.not_ f1 then Some Lit.false_
   else
-    match Hashtbl.find_opt t.strash (key f0 f1) with
-    | Some n -> Some (Lit.of_node n false)
-    | None -> None
+    match t.strash.(probe t f0 f1) with 0 -> None | nd -> Some (Lit.of_node nd false)
+
+(* Files the new AND [n], doubling the table first if it is half full. *)
+let strash_add t n =
+  if 2 * num_ands t > Array.length t.strash then begin
+    let old = t.strash in
+    t.strash <- Array.make (2 * Array.length old) 0;
+    Array.iter
+      (fun nd ->
+        if nd <> 0 then
+          t.strash.(probe t (Vec.get t.fan0 nd) (Vec.get t.fan1 nd)) <- nd)
+      old
+  end;
+  t.strash.(probe t (Vec.get t.fan0 n) (Vec.get t.fan1 n)) <- n
 
 let add_and t f0 f1 =
   let f0, f1 = order f0 f1 in
@@ -102,7 +133,7 @@ let add_and t f0 f1 =
     Vec.push t.fanouts 0;
     incr_fanout t (Lit.node f0);
     incr_fanout t (Lit.node f1);
-    Hashtbl.replace t.strash (key f0 f1) n;
+    strash_add t n;
     Lit.of_node n false
 
 let add_or t a b = Lit.not_ (add_and t (Lit.not_ a) (Lit.not_ b))

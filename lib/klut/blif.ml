@@ -1,5 +1,6 @@
 module K = Network
 module T = Tt.Truth_table
+module Vec = Sutil.Vec
 
 exception Parse_error of string
 
@@ -61,181 +62,206 @@ let write net =
   Buffer.contents buf
 
 let write_file path net =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (write net))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (write net))
 
 (* ---- reading ---- *)
 
-type cover_row = { mask : string; value : bool }
+(* [String.trim]'s whitespace, less the line break. *)
+let is_blank = function ' ' | '\t' | '\r' | '\012' -> true | _ -> false
 
-let tt_of_cover ~ln k rows =
-  (* Rows are in on-set or off-set form; BLIF requires uniform output
-     values within one block. *)
-  match rows with
-  | [] -> T.const0 k
-  | { value = v0; _ } :: _ ->
-    if not (List.for_all (fun r -> r.value = v0) rows) then
-      fail_at ln "mixed on-set and off-set rows in one .names block";
-    let covered = ref (T.const0 k) in
-    List.iter
-      (fun { mask; _ } ->
-        if String.length mask <> k then fail_at ln "cover row width mismatch";
-        let cube = ref (T.const1 k) in
-        String.iteri
-          (fun j c ->
-            match c with
-            | '1' -> cube := T.and_ !cube (T.nth_var k j)
-            | '0' -> cube := T.and_ !cube (T.not_ (T.nth_var k j))
-            | '-' -> ()
-            | _ -> fail_at ln "bad cover character %C" c)
-          mask;
-        covered := T.or_ !covered !cube)
-      rows;
-    if v0 then !covered else T.not_ !covered
+(* In-word projection masks of table variables 0..4: variable [j] is true
+   at the bits whose index has bit [j] set. *)
+let var_masks = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000 |]
 
-(* A .names block with no input columns defines a constant. *)
-let constant_block ~ln rows =
-  match rows with
-  | [] -> false
-  | [ { mask = ""; value } ] -> value
-  | _ -> fail_at ln "bad constant .names block"
+(* An open [.names] block. Its fanins are resolved when it opens (cover
+   rows define no signals); its table fills row by row. A defect (an
+   undefined fanin, a malformed or mixed row) is kept and reported at the
+   block's line when the block closes. *)
+type block = {
+  line : int;
+  fanins : int array;
+  out : string;
+  words : int array; (* the on-set rows' cubes, 32 table bits a word *)
+  mutable value : int; (* the rows' output value; -1 before any row *)
+  mutable rows : int;
+  mutable defect : string option;
+}
 
 let read text =
   let text = Obs.Fault.truncate fault_truncate text in
-  (* Number physical lines 1-based, strip comments, then join
-     continuation lines (trailing backslash) under the first line's
-     number so diagnostics point at the start of the construct. *)
-  let physical =
-    String.split_on_char '\n' text
-    |> List.mapi (fun i l ->
-           let l =
-             match String.index_opt l '#' with
-             | Some j -> String.sub l 0 j
-             | None -> l
-           in
-           (i + 1, String.trim l))
+  let n = String.length text in
+  (* The current logical line: number [ln], its tokens as (start, stop)
+     pairs in [toks]. [pos] is where the next physical line starts (n + 1
+     past the last) and [lnum] counts the physical lines read. *)
+  let toks = Vec.create () and ln = ref 0 and pos = ref 0 and lnum = ref 0 in
+  let nt () = Vec.length toks / 2 in
+  let tok_start k = Vec.get toks (2 * k) in
+  let tok k = String.sub text (tok_start k) (Vec.get toks ((2 * k) + 1) - tok_start k) in
+  (* Reads one physical line and adds the tokens (runs of anything but
+     spaces and tabs) of its trimmed part before any '#'. Returns whether
+     that part is not empty. *)
+  let physical () =
+    let e = ref !pos in
+    while !e < n && text.[!e] <> '\n' && text.[!e] <> '#' do incr e done;
+    let lo = ref !pos and hi = ref !e in
+    while !e < n && text.[!e] <> '\n' do incr e done;
+    pos := !e + 1;
+    incr lnum;
+    while !lo < !hi && is_blank text.[!lo] do incr lo done;
+    while !hi > !lo && is_blank text.[!hi - 1] do decr hi done;
+    let i = ref !lo in
+    while !i < !hi do
+      if text.[!i] = ' ' || text.[!i] = '\t' then incr i
+      else begin
+        Vec.push toks !i;
+        while !i < !hi && text.[!i] <> ' ' && text.[!i] <> '\t' do incr i done;
+        Vec.push toks !i
+      end
+    done;
+    !lo < !hi
   in
-  let lines =
-    let rec join acc = function
-      | [] -> List.rev acc
-      | (ln, l) :: rest ->
-        let rec absorb l rest =
-          let k = String.length l in
-          if k > 0 && l.[k - 1] = '\\' then
-            let head = String.sub l 0 (k - 1) in
-            match rest with
-            | (_, l2) :: rest2 -> absorb (String.trim (head ^ " " ^ l2)) rest2
-            | [] -> (String.trim head, [])
-          else (l, rest)
-        in
-        let joined, rest = absorb l rest in
-        if joined = "" then join acc rest else join ((ln, joined) :: acc) rest
-    in
-    join [] physical
+  let last_is f = Vec.length toks > 0 && f text.[Vec.top toks - 1] in
+  (* Drops the last byte of the last token, and the token once empty. *)
+  let chop () =
+    let k = Vec.length toks - 1 in
+    Vec.set toks k (Vec.get toks k - 1);
+    if Vec.get toks k = Vec.get toks (k - 1) then Vec.shrink toks (k - 1)
   in
+  (* Reads the next logical line. A line ending in a backslash continues
+     on the next physical line, and the joined line is trimmed again
+     where that one is empty, as [String.trim (head ^ " " ^ next)]. *)
+  let logical () =
+    Vec.clear toks;
+    ln := !lnum + 1;
+    ignore (physical ());
+    let last = ref false in
+    while (not !last) && last_is (fun c -> c = '\\') do
+      chop ();
+      last := !pos > n;
+      if !last || not (physical ()) then
+        while last_is is_blank do chop () done
+    done
+  in
+  let line () = String.concat " " (List.init (nt ()) tok) in
   let net = K.create () in
   let signals : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let outputs = ref [] in
-  let pending : (int * string list * string * cover_row list) option ref =
-    ref None
+  let outputs = ref [] and pending = ref None in
+  let flush () =
+    Option.iter
+      (fun b ->
+        pending := None;
+        Option.iter (fun msg -> fail_at b.line "%s" msg) b.defect;
+        let k = Array.length b.fanins in
+        let f =
+          if k = 0 then if b.value = 1 then T.const1 0 else T.const0 0
+          else T.of_words k (if b.value = 0 then Array.map lnot b.words else b.words)
+        in
+        Hashtbl.replace signals b.out (K.add_lut net b.fanins f))
+      !pending
   in
-  let flush_pending () =
-    match !pending with
-    | None -> ()
-    | Some (ln, inputs, out, rows_rev) ->
-      pending := None;
-      let rows = List.rev rows_rev in
-      let node =
-        match inputs with
-        | [] ->
-          (* constant *)
-          let v = constant_block ~ln rows in
-          let k = K.add_lut net [||] (if v then T.const1 0 else T.const0 0) in
-          k
-        | _ ->
-          let fanins =
-            Array.of_list
-              (List.map
-                 (fun s ->
-                   match Hashtbl.find_opt signals s with
-                   | Some n -> n
-                   | None -> fail_at ln "undefined signal %s" s)
-                 inputs)
-          in
-          K.add_lut net fanins (tt_of_cover ~ln (Array.length fanins) rows)
+  let open_block () =
+    let k = nt () - 2 in
+    if k > max_lut_fanins then
+      fail_at !ln ".names block with %d inputs exceeds the %d-input limit" k
+        max_lut_fanins;
+    let defect = ref None in
+    let fanin j =
+      match Hashtbl.find_opt signals (tok (j + 1)) with
+      | Some nd -> nd
+      | None ->
+        if Option.is_none !defect then defect := Some ("undefined signal " ^ tok (j + 1));
+        0
+    in
+    let fanins = Array.init k fanin in
+    let words = Array.make (if k <= 5 then 1 else 1 lsl (k - 5)) 0 in
+    pending :=
+      Some { line = !ln; fanins; out = tok (k + 1); words; value = -1; rows = 0; defect = !defect }
+  in
+  (* ORs the cube of the mask at [text.[a ..]] into the block's table:
+     mask characters of variables 0..4 narrow an in-word mask, those of
+     variables 5 and up pick the words. *)
+  let add_cube b a =
+    let k = Array.length b.fanins in
+    let inword = ref (if k >= 5 then 0xFFFFFFFF else (1 lsl (1 lsl k)) - 1) in
+    let base = ref 0 and free = ref 0 and bad = ref None in
+    for j = 0 to k - 1 do
+      match text.[a + j] with
+      | '1' when j < 5 -> inword := !inword land var_masks.(j)
+      | '0' when j < 5 -> inword := !inword land lnot var_masks.(j)
+      | '1' -> base := !base lor (1 lsl (j - 5))
+      | '-' when j >= 5 -> free := !free lor (1 lsl (j - 5))
+      | '0' | '-' -> ()
+      | c -> if Option.is_none !bad then bad := Some c
+    done;
+    match !bad with
+    | Some c -> b.defect <- Some (Printf.sprintf "bad cover character %C" c)
+    | None ->
+      (* every word index that agrees with [base] off the free bits *)
+      let rec fill s =
+        b.words.(!base lor s) <- b.words.(!base lor s) lor !inword;
+        if s <> 0 then fill ((s - 1) land !free)
       in
-      Hashtbl.replace signals out node
+      fill !free
   in
-  let words l =
-    String.split_on_char ' ' l
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun s -> s <> "")
+  let row b =
+    let v = tok_start (nt () - 1) in
+    let value =
+      match if Vec.top toks = v + 1 then text.[v] else ' ' with
+      | '1' -> 1
+      | '0' -> 0
+      | _ when nt () = 1 -> fail_at !ln "bad cover row: %s" (line ())
+      | _ -> fail_at !ln "bad cover output: %s" (line ())
+    in
+    b.rows <- b.rows + 1;
+    let defect msg = if Option.is_none b.defect then b.defect <- Some msg in
+    let width = if nt () = 2 then Vec.get toks 1 - tok_start 0 else 0 in
+    if Array.length b.fanins = 0 then
+      (* a constant block: one row, just an output value *)
+      if b.rows > 1 || width > 0 then defect "bad constant .names block"
+      else b.value <- value
+    else begin
+      if b.value < 0 then b.value <- value
+      else if b.value <> value then defect "mixed on-set and off-set rows in one .names block";
+      if width <> Array.length b.fanins then defect "cover row width mismatch"
+      else if Option.is_none b.defect then add_cube b (tok_start 0)
+    end
   in
-  List.iter
-    (fun (ln, line) ->
-      match words line with
-      | ".model" :: _ -> ()
-      | ".inputs" :: names ->
-        flush_pending ();
-        List.iter
-          (fun s ->
-            if Hashtbl.mem signals s then fail_at ln "duplicate input %s" s;
-            Hashtbl.replace signals s (K.add_pi net))
-          names
-      | ".outputs" :: names ->
-        flush_pending ();
-        outputs := !outputs @ List.map (fun s -> (ln, s)) names
-      | ".names" :: rest ->
-        flush_pending ();
-        (match List.rev rest with
-         | out :: inputs_rev ->
-           let inputs = List.rev inputs_rev in
-           if List.length inputs > max_lut_fanins then
-             fail_at ln ".names block with %d inputs exceeds the %d-input limit"
-               (List.length inputs) max_lut_fanins;
-           pending := Some (ln, inputs, out, [])
-         | [] -> fail_at ln ".names without signals")
-      | [ ".end" ] -> flush_pending ()
-      | (".latch" | ".subckt" | ".gate") :: _ ->
-        fail_at ln "unsupported construct: %s" line
-      | [ single ] when !pending <> None ->
-        (* constant block row: just an output value *)
-        (match !pending with
-         | Some (bln, inputs, out, rows) ->
-           let value =
-             match single with
-             | "1" -> true
-             | "0" -> false
-             | _ -> fail_at ln "bad cover row: %s" line
-           in
-           pending := Some (bln, inputs, out, { mask = ""; value } :: rows)
-         | None -> assert false)
-      | [ mask; v ] when !pending <> None ->
-        (match !pending with
-         | Some (bln, inputs, out, rows) ->
-           let value =
-             match v with
-             | "1" -> true
-             | "0" -> false
-             | _ -> fail_at ln "bad cover output: %s" line
-           in
-           pending := Some (bln, inputs, out, { mask; value } :: rows)
-         | None -> assert false)
-      | _ -> fail_at ln "unrecognized line: %s" line)
-    lines;
-  flush_pending ();
+  while !pos <= n do
+    logical ();
+    if nt () > 0 then
+      (* Only a keyword is copied out of the text; cover rows are not. *)
+      match if text.[tok_start 0] = '.' then tok 0 else "" with
+      | ".model" -> ()
+      | ".inputs" ->
+        flush ();
+        for j = 1 to nt () - 1 do
+          let s = tok j in
+          if Hashtbl.mem signals s then fail_at !ln "duplicate input %s" s;
+          Hashtbl.replace signals s (K.add_pi net)
+        done
+      | ".outputs" ->
+        flush ();
+        for j = 1 to nt () - 1 do
+          outputs := (!ln, tok j) :: !outputs
+        done
+      | ".names" ->
+        flush ();
+        if nt () = 1 then fail_at !ln ".names without signals";
+        open_block ()
+      | ".end" when nt () = 1 -> flush ()
+      | ".latch" | ".subckt" | ".gate" -> fail_at !ln "unsupported construct: %s" (line ())
+      | _ -> (
+        match !pending with
+        | Some b when nt () <= 2 -> row b
+        | _ -> fail_at !ln "unrecognized line: %s" (line ()))
+  done;
+  flush ();
   List.iter
     (fun (ln, s) ->
       match Hashtbl.find_opt signals s with
-      | Some n -> ignore (K.add_po net n false)
+      | Some nd -> ignore (K.add_po net nd false)
       | None -> fail_at ln "undefined output %s" s)
-    !outputs;
+    (List.rev !outputs);
   net
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> read (really_input_string ic (in_channel_length ic)))
+let read_file path = read (In_channel.with_open_bin path In_channel.input_all)

@@ -18,10 +18,16 @@ let float_repr f =
     else s ^ ".0"
   end
 
+(* Copies the runs between the bytes that need escaping in one blit
+   each. *)
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring b s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
@@ -30,10 +36,13 @@ let escape_string b s =
       | '\t' -> Buffer.add_string b "\\t"
       | '\b' -> Buffer.add_string b "\\b"
       | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c ->
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char b "0123456789abcdef".[Char.code c land 15]
+    end
+  done;
+  Buffer.add_substring b s !run (String.length s - !run);
   Buffer.add_char b '"'
 
 let to_string ?(pretty = false) v =
@@ -139,15 +148,24 @@ let parse s =
     done;
     !v
   in
+  (* The end of the run of plain string bytes from [i]. *)
+  let rec run_end i =
+    if i >= n then begin
+      pos := n;
+      fail "unterminated string"
+    end
+    else if s.[i] = '"' || s.[i] = '\\' then i
+    else run_end (i + 1)
+  in
+  (* The runs between escapes are copied whole. *)
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
     let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
+      let e = run_end !pos in
+      Buffer.add_substring b s !pos (e - !pos);
+      pos := e + 1;
+      if s.[e] = '\\' then begin
         (match peek () with
          | Some '"' -> Buffer.add_char b '"'; advance ()
          | Some '\\' -> Buffer.add_char b '\\'; advance ()
@@ -173,7 +191,7 @@ let parse s =
            end
          | _ -> fail "bad escape");
         go ()
-      | Some c -> Buffer.add_char b c; advance (); go ()
+      end
     in
     go ();
     Buffer.contents b

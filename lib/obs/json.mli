@@ -7,7 +7,14 @@
 
     Deviations from full RFC 8259, chosen for report use: non-finite
     floats print as [null]; parsed [\uXXXX] escapes are decoded to UTF-8
-    without surrogate-pair combining. *)
+    without surrogate-pair combining.
+
+    Strings are bytes. The printer escapes ['"'], ['\\'] and the bytes
+    below [0x20] ([\n], [\r], [\t], [\b], [\f], else [\u00XX]) and
+    copies every other byte, including [0x7F] and bytes of [0x80] and
+    up, as it is. The parser takes the escapes above plus [\/] and any
+    [\uXXXX], and any other byte raw. Both copy the runs between escapes
+    whole, so an AIGER text inside a frame costs one blit per line. *)
 
 type t =
   | Null

@@ -13,13 +13,6 @@ type t = {
   pc_b : L.t;
 }
 
-(* Decimal digits straight into the key buffer, with no [Printf] per
-   AND. Every number in a key is a node count or a literal, so
-   non-negative. *)
-let rec add_int buf n =
-  if n >= 10 then add_int buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
-
 let extract net a b =
   (* Only the cone is walked and allocated, never an array sized by the
      source network: [map] starts as the visited set of the walk and
@@ -68,8 +61,10 @@ let extract net a b =
   let pc_a = tr a and pc_b = tr b in
   (* "v1 pi=P;" then "f0,f1;" per AND of the copy, then "r=a,b". *)
   let buf = Buffer.create (32 + (16 * Array.length cone)) in
+  (* Every number in a key is a node count or a literal, so
+     non-negative: its digits go straight into the buffer. *)
   let put n sep =
-    add_int buf n;
+    Aig.Aiger.add_int buf n;
     Buffer.add_char buf sep
   in
   Buffer.add_string buf "v1 pi=";
@@ -79,7 +74,7 @@ let extract net a b =
       put (A.fanin1 pc_net n) ';');
   Buffer.add_string buf "r=";
   put pc_a ',';
-  add_int buf pc_b;
+  Aig.Aiger.add_int buf pc_b;
   {
     pc_net;
     pc_key = Digest.to_hex (Digest.string (Buffer.contents buf));

@@ -57,7 +57,24 @@ let test_strash () =
   check_int "no new nodes" 1 (A.num_ands net);
   check "find_and hit" true (A.find_and net a b = Some x);
   check "find_and miss" true
-    (A.find_and net a (L.not_ b) = None)
+    (A.find_and net a (L.not_ b) = None);
+  (* The table keys on both fanins and survives growth: a network made
+     for 8 nodes takes 900 ANDs that share a fanin node, keeps them
+     distinct and finds each again. *)
+  let net = A.create ~capacity:8 () in
+  let a = A.add_pi net in
+  let ys = Array.init 300 (fun _ -> A.add_pi net) in
+  let pairs =
+    Array.concat
+      (List.map
+         (fun (ca, cy) -> Array.map (fun y -> (L.xor_compl a ca, L.xor_compl y cy)) ys)
+         [ (false, false); (true, false); (false, true) ])
+  in
+  let made = Array.map (fun (p, q) -> A.add_and net p q) pairs in
+  check_int "one AND per pair" 900 (A.num_ands net);
+  Array.iteri
+    (fun i (p, q) -> check "found again" true (A.find_and net q p = Some made.(i)))
+    pairs
 
 let test_levels_fanout () =
   let net = A.create () in
@@ -182,7 +199,10 @@ let test_aiger_fixed () =
   let out = eval net [| true; true |] in
   check "!(1&1)" false out.(0);
   let out = eval net [| true; false |] in
-  check "!(1&0)" true out.(0)
+  check "!(1&0)" true out.(0);
+  (* leading zeros are still decimal *)
+  check "leading zeros" true
+    (Aig.Aiger.write (Aig.Aiger.read "aag 03 02 0 01 01\n02\n04\n07\n06 02 004\n") = text)
 
 let test_aiger_sequential () =
   (* One latch: q' = q & i; output q. The combinational view gets the
@@ -217,6 +237,12 @@ let test_aiger_errors () =
       "aag 1 1 1 0 0\n2\n1 1 1\n";
       "nonsense\n";
       "aag 2 1 0 1 1\n2\n4\n4 6 2\n" (* forward ref *);
+      (* integers are plain unsigned decimal: no sign, base prefix or
+         underscore, which [int_of_string] would take *)
+      "aag 1 1 0 1 0\n+2\n2\n";
+      "aag 1 1 0 1 0\n2\n0x2\n";
+      "aag 1 1 0 1 0\n2\n2_\n";
+      "aag -0 0 0 0 0\n";
     ]
 
 let test_balance () =
